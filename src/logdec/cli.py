@@ -24,7 +24,7 @@ from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree
 from .contents import coinformation_content, coinformation_numeric, content
 from .gates import GateSystem, build_gate, census, named_gate
 from .ideals import Ideal
-from .measure import entropy, mu_atom, mu_ideal
+from .measure import check_table_capacity, entropy, mu_atom, mu_ideal
 from .parity import classify_parity, witness_distributions
 
 DECOMPOSE_MAX_N = 16
@@ -269,6 +269,8 @@ def cmd_decompose(args, argv) -> dict:
 
 def cmd_coinfo(args, argv) -> dict:
     system = _load_system(args)
+    if args.structure:
+        check_table_capacity(system.space.n)
     dist = _require_distribution(system)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
@@ -314,9 +316,7 @@ def cmd_census(args, argv) -> dict:
     if seed is None:
         seed = secrets.randbits(32)
         print(f"generated seed: {seed}", file=sys.stderr)
-    classifications = census(
-        args.nx, args.ny, samples=args.samples, seed=seed, threads=args.threads
-    )
+    classifications = census(args.nx, args.ny, samples=args.samples, seed=seed)
     rows = []
     for c in classifications:
         row = {
@@ -368,6 +368,7 @@ def cmd_census(args, argv) -> dict:
 
 def cmd_witness(args, argv) -> dict:
     system = _load_system(args)
+    check_table_capacity(system.space.n)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
         raise ParseError("witness construction needs at least two variable names")
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help="worker count (default: LOGDEC_THREADS or all cores)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
 

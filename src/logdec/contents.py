@@ -10,6 +10,7 @@ single atom to the pair of ideals whose difference isolates it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Mapping
 
@@ -23,6 +24,7 @@ from .core import (
     common_coarsening,
     common_refinement,
     degree,
+    first_occurrence_relabel,
     non_entropic,
 )
 from .ideals import Ideal
@@ -145,25 +147,28 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     return ideal
 
 
+def inclusion_exclusion_terms(parts: list[Partition]) -> list[tuple[float, Partition]]:
+    """(sign, common refinement) of every nonempty subfamily, in bit-pattern
+    order; the sign is +1 for odd sizes and -1 for even ones."""
+    if not parts:
+        raise ValueError("co-information needs at least one variable")
+    terms = []
+    for sub in range(1, 1 << len(parts)):
+        chosen = [p for i, p in enumerate(parts) if sub >> i & 1]
+        sign = 1.0 if len(chosen) % 2 == 1 else -1.0
+        terms.append((sign, functools.reduce(common_refinement, chosen)))
+    return terms
+
+
 def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
     """Alternating inclusion-exclusion of joint entropies.
 
     Joint variables are common refinements of the chosen partitions; this
     route never touches the measure and serves as its oracle.
     """
-    if not parts:
-        raise ValueError("co-information needs at least one variable")
     total = 0.0
-    k = len(parts)
-    for sub in range(1, 1 << k):
-        joint = None
-        bits = 0
-        for i in range(k):
-            if sub >> i & 1:
-                bits += 1
-                joint = parts[i] if joint is None else common_refinement(joint, parts[i])
-        h = entropy(dist, joint)
-        total += h if bits % 2 == 1 else -h
+    for sign, joint in inclusion_exclusion_terms(parts):
+        total += sign * entropy(dist, joint)
     return total
 
 
@@ -200,15 +205,10 @@ def is_representable(atom_set: AtomSet) -> tuple[bool, Partition | None]:
         for j in range(n):
             if (component[i] == component[j]) != merged[i][j]:
                 return False, None
-    part = Partition(space, _dense_relabel(component))
+    part = Partition(space, first_occurrence_relabel(component))
     if content_bruteforce(part).atoms != atom_set.atoms:
         return False, None
     return True, part
-
-
-def _dense_relabel(values):
-    seen: dict[int, int] = {}
-    return [seen.setdefault(v, len(seen)) for v in values]
 
 
 def gacs_korner(x: Partition, y: Partition) -> tuple[Ideal, Partition]:
@@ -267,7 +267,7 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
             block_of = [
                 0 if (complement | q) >> i & 1 else 1 for i in range(space.n)
             ]
-            spreads.append(Partition(space, _dense_relabel(block_of)))
+            spreads.append(Partition(space, first_occurrence_relabel(block_of)))
         per_generator.append(spreads)
     combined: dict[tuple[int, ...], Partition] = {}
     for choice in itertools.product(*per_generator):

@@ -179,7 +179,7 @@ class Partition:
         self.block_of = block_of
         self.block_count = count
         self.block_masks = tuple(masks)
-        self._key = _first_occurrence_relabel(block_of)
+        self._key = first_occurrence_relabel(block_of)
 
     @classmethod
     def from_blocks(cls, space: OutcomeSpace, blocks) -> "Partition":
@@ -242,14 +242,14 @@ class Partition:
         return "Partition(" + " | ".join(blocks) + ")"
 
 
-def _first_occurrence_relabel(values) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
+def first_occurrence_relabel(values) -> tuple[int, ...]:
+    """Relabel hashable values 0, 1, 2, ... in order of first occurrence.
+
+    The result is a restricted-growth string: a dense block assignment
+    that is equal for any two labellings of the same partition.
+    """
+    seen: dict = {}
+    return tuple(seen.setdefault(v, len(seen)) for v in values)
 
 
 def _check_same_space(a, b) -> None:
@@ -295,14 +295,7 @@ def restrict(atom_set: AtomSet, within: int) -> AtomSet:
 def common_refinement(a: Partition, b: Partition) -> Partition:
     """Coarsest partition finer than both: nonempty pairwise block intersections."""
     _check_same_space(a, b)
-    pairs: dict[tuple[int, int], int] = {}
-    block_of = []
-    for i in range(a.space.n):
-        key = (a.block_of[i], b.block_of[i])
-        if key not in pairs:
-            pairs[key] = len(pairs)
-        block_of.append(pairs[key])
-    return Partition(a.space, block_of)
+    return Partition(a.space, first_occurrence_relabel(zip(a.block_of, b.block_of)))
 
 
 def common_coarsening(a: Partition, b: Partition) -> Partition:
@@ -330,4 +323,4 @@ def common_coarsening(a: Partition, b: Partition) -> Partition:
         for blk in part.blocks():
             for i, j in zip(blk, blk[1:]):
                 union(i, j)
-    return Partition(a.space, _first_occurrence_relabel(find(i) for i in range(n)))
+    return Partition(a.space, first_occurrence_relabel(find(i) for i in range(n)))

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +22,10 @@ from .core import (
     Distribution,
     OutcomeSpace,
     Partition,
-    common_refinement,
+    first_occurrence_relabel,
     restricted_growth_strings,
 )
-from .contents import coinformation_content
+from .contents import coinformation_content, inclusion_exclusion_terms
 from .ideals import Ideal
 from .parity import (
     CERTIFIED_ODD,
@@ -90,7 +88,7 @@ def build_gate(nx: int, ny: int, table) -> GateSystem:
     space = OutcomeSpace(nx * ny)
     x = Partition(space, [w // ny for w in range(nx * ny)])
     y = Partition(space, [w % ny for w in range(nx * ny)])
-    z = Partition(space, _rgs(table))
+    z = Partition(space, first_occurrence_relabel(table))
     return GateSystem(nx=nx, ny=ny, table=table, space=space, x=x, y=y, z=z)
 
 
@@ -132,12 +130,6 @@ def named_gate(spec: str) -> GateSystem:
     return build_gate(nx, ny, table)
 
 
-def _rgs(values) -> tuple[int, ...]:
-    """Relabel by first occurrence (restricted growth form)."""
-    seen: dict = {}
-    return tuple(seen.setdefault(v, len(seen)) for v in values)
-
-
 def _input_permutations(nx: int, ny: int) -> list[tuple[int, ...]]:
     maps = []
     for rows in itertools.permutations(range(nx)):
@@ -150,25 +142,17 @@ def canonicalize(gate: GateSystem) -> tuple[int, ...]:
     """Lexicographically minimal table over row/column permutations and
     output relabelling; equal exactly for isomorphic gates."""
     perms = _input_permutations(gate.nx, gate.ny)
-    return min(_rgs(tuple(gate.table[p] for p in perm)) for perm in perms)
+    return min(first_occurrence_relabel(gate.table[p] for p in perm) for perm in perms)
 
 
 def _coinformation_value_fn(parts: list[Partition]):
     """Vectorised entropy inclusion-exclusion over sample weight rows."""
     n = parts[0].space.n
     terms = []
-    k = len(parts)
-    for sub in range(1, 1 << k):
-        joint = None
-        bits = 0
-        for i in range(k):
-            if sub >> i & 1:
-                bits += 1
-                joint = parts[i] if joint is None else common_refinement(joint, parts[i])
+    for sign, joint in inclusion_exclusion_terms(parts):
         onehot = np.zeros((n, joint.block_count), dtype=np.float64)
-        for w, b in enumerate(joint.block_of):
-            onehot[w, b] = 1.0
-        terms.append((1.0 if bits % 2 == 1 else -1.0, onehot))
+        onehot[np.arange(n), joint.block_of] = 1.0
+        terms.append((sign, onehot))
 
     def value(weight_rows: np.ndarray) -> np.ndarray:
         total = np.zeros(weight_rows.shape[0], dtype=np.float64)
@@ -237,7 +221,7 @@ def classify_gate(
     return GateClassification(
         nx=gate.nx,
         ny=gate.ny,
-        table=_rgs(gate.table),
+        table=first_occurrence_relabel(gate.table),
         orbit_size=orbit_size,
         ideal=ideal,
         degree_profile=ideal.degree_profile(),
@@ -258,20 +242,11 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     for table in restricted_growth_strings(nx * ny):
         if table in seen:
             continue
-        orbit = {_rgs(tuple(table[p] for p in perm)) for perm in perms}
+        orbit = {first_occurrence_relabel(table[p] for p in perm) for perm in perms}
         seen |= orbit
         classes.append((min(orbit), len(orbit)))
     classes.sort()
     return classes
-
-
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("LOGDEC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def census(
@@ -279,35 +254,26 @@ def census(
     ny: int,
     samples: int = 1000,
     seed: int = 0,
-    threads: int | None = None,
 ) -> list[GateClassification]:
     """Classify every gate of the given shape up to canonical equivalence.
 
     Each class gets its own deterministic seed derived from the census
-    seed and its position, so results do not depend on thread scheduling.
+    seed and its position in the canonical order.
     """
     if not (1 <= nx <= CENSUS_MAX_SIDE and 1 <= ny <= CENSUS_MAX_SIDE):
         raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
-    classes = canonical_classes(nx, ny)
-    class_seeds = [
-        int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0])
-        for idx in range(len(classes))
-    ]
-
-    def run(idx: int) -> GateClassification:
-        table, orbit = classes[idx]
-        return classify_gate(
-            build_gate(nx, ny, table),
-            samples=samples,
-            seed=class_seeds[idx],
-            orbit_size=orbit,
+    results = []
+    for idx, (table, orbit) in enumerate(canonical_classes(nx, ny)):
+        class_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0])
+        results.append(
+            classify_gate(
+                build_gate(nx, ny, table),
+                samples=samples,
+                seed=class_seed,
+                orbit_size=orbit,
+            )
         )
-
-    workers = _worker_count(threads)
-    if workers == 1 or len(classes) < 2:
-        return [run(i) for i in range(len(classes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(classes))))
+    return results
 
 
 def expected_class_total(nx: int, ny: int) -> int:

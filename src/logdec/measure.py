@@ -20,7 +20,15 @@ import math
 
 import numpy as np
 
-from .core import AtomSet, Distribution, Partition, atom_bits, degree
+from .core import (
+    AtomSet,
+    CapacityError,
+    Distribution,
+    Partition,
+    atom_bits,
+    degree,
+    first_occurrence_relabel,
+)
 from .ideals import Ideal
 
 EQ_TOL = 1e-9
@@ -77,30 +85,12 @@ def merge_loss(dist: Distribution, atom: int) -> float:
     if degree(atom) < 2:
         raise ValueError("merging needs at least two outcomes")
     space = dist.space
-    merged_block_of = []
-    merged_index = None
-    nxt = 0
-    for i in range(space.n):
-        if atom >> i & 1:
-            if merged_index is None:
-                merged_index = nxt
-                nxt += 1
-            merged_block_of.append(merged_index)
-        else:
-            merged_block_of.append(nxt)
-            nxt += 1
-    merged = Partition(space, _dense(merged_block_of))
+    first = atom_bits(atom)[0]
+    merged = Partition(
+        space,
+        first_occurrence_relabel(first if atom >> i & 1 else i for i in range(space.n)),
+    )
     return entropy(dist, Partition.discrete(space)) - entropy(dist, merged)
-
-
-def _dense(values):
-    seen: dict[int, int] = {}
-    out = []
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return out
 
 
 def finite_difference_derivative(
@@ -133,9 +123,11 @@ def finite_difference_derivative(
 #
 # For n <= 20 the measure of every atom is computed at once with two DP
 # sweeps over the 2**n masks: subset masses, x*log2(x), then the signed
-# Moebius transform.  This is what makes ideal measures, surveys and
+# Moebius transform, for many weight rows at once; mu_table and mu_ideal
+# are its one-row case.  This is what makes ideal measures, surveys and
 # witness searches cheap; per-atom values agree with mu_atom to float
-# precision and the equivalence is pinned by tests.
+# precision and the equivalence is pinned by tests.  Above the cap the
+# kernel raises CapacityError before any work.
 # ---------------------------------------------------------------------------
 
 
@@ -148,35 +140,17 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
-def _mass_table(weights: np.ndarray) -> np.ndarray:
-    m = np.zeros(1, dtype=np.float64)
-    for w in weights:
-        m = np.concatenate([m, m + w])
-    return m
-
-
-def mu_table(weights) -> np.ndarray:
-    """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
-    w = np.asarray(weights, dtype=np.float64)
-    n = w.size
+def check_table_capacity(n: int) -> None:
+    """Raise CapacityError when n outcomes exceed the measure table's cap."""
     if n > _TABLE_MAX_N:
-        raise ValueError(f"mu_table supports up to {_TABLE_MAX_N} outcomes")
-    m = _mass_table(w)
-    t = np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
-    for b in range(n):
-        step = 1 << b
-        v = t.reshape(-1, 2 * step)
-        v[:, step:] -= v[:, :step]
-    t[_popcounts(n) < 2] = 0.0
-    return t
+        raise CapacityError(f"the measure table is capped at {_TABLE_MAX_N} outcomes, got {n}")
 
 
 def mu_table_batch(weight_rows: np.ndarray) -> np.ndarray:
-    """mu_table for many weight vectors at once; rows index samples."""
+    """mu of every mask for many weight vectors at once; rows index samples."""
     W = np.asarray(weight_rows, dtype=np.float64)
     s, n = W.shape
-    if n > _TABLE_MAX_N:
-        raise ValueError(f"mu_table supports up to {_TABLE_MAX_N} outcomes")
+    check_table_capacity(n)
     m = np.zeros((s, 1), dtype=np.float64)
     for k in range(n):
         m = np.concatenate([m, m + W[:, k : k + 1]], axis=1)
@@ -187,6 +161,11 @@ def mu_table_batch(weight_rows: np.ndarray) -> np.ndarray:
         v[:, :, step:] -= v[:, :, :step]
     t[:, _popcounts(n) < 2] = 0.0
     return t
+
+
+def mu_table(weights) -> np.ndarray:
+    """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
+    return mu_table_batch(np.asarray(weights, dtype=np.float64)[None, :])[0]
 
 
 def ideal_member_flags(ideal: Ideal) -> np.ndarray:
@@ -203,19 +182,6 @@ def ideal_member_flags(ideal: Ideal) -> np.ndarray:
     return flags
 
 
-def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
-    """Measure of an ideal: the sum of mu over its denoted atoms."""
-    if ideal.is_empty:
-        return 0.0
-    if dist.space != ideal.space:
-        raise ValueError("distribution and ideal live on different spaces")
-    n = ideal.space.n
-    if n <= _TABLE_MAX_N:
-        t = mu_table(dist.weights)
-        return float(t[ideal_member_flags(ideal)].sum())
-    return mu_set(dist, ideal.enumerate())
-
-
 def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
     """Measure of one ideal under many weight vectors at once."""
     W = np.asarray(weight_rows, dtype=np.float64)
@@ -223,3 +189,12 @@ def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
         return np.zeros(W.shape[0], dtype=np.float64)
     t = mu_table_batch(W)
     return t[:, ideal_member_flags(ideal)].sum(axis=1)
+
+
+def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
+    """Measure of an ideal: the sum of mu over its denoted atoms."""
+    if ideal.is_empty:
+        return 0.0
+    if dist.space != ideal.space:
+        raise ValueError("distribution and ideal live on different spaces")
+    return float(mu_ideal_batch([dist.weights], ideal)[0])

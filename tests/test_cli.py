@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -167,6 +168,31 @@ class TestCoinfo:
         code, _, err = run(capsys, "coinfo", "--gate", "or:2x2", "-v", "X", "W")
         assert code == 2
         assert "unknown variable" in err
+
+    def test_structure_fails_fast_above_the_table_cap(self, capsys, tmp_path):
+        n = 21
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [f"o{i}" for i in range(n)],
+                    "p": [1.0 / n] * n,
+                    "variables": {
+                        "X": [i % 2 for i in range(n)],
+                        "Y": [i // 2 % 3 for i in range(n)],
+                    },
+                }
+            )
+        )
+        code, out, _ = run(capsys, "coinfo", "--file", str(path), "--json")
+        assert code == 0
+        assert "coinformation" in json.loads(out)["results"]
+        for argv in (["coinfo", "--structure"], ["witness"]):
+            start = time.perf_counter()
+            code, _, err = run(capsys, *argv, "--file", str(path))
+            assert time.perf_counter() - start < 2.0
+            assert code == 3
+            assert err.startswith("capacity error:") and err.count("\n") == 1
 
 
 class TestCensusCommand:

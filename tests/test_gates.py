@@ -138,13 +138,6 @@ class TestCensus:
         assert [c.table for c in a] == [c.table for c in b]
         assert [c.verdict for c in a] == [c.verdict for c in b]
 
-    def test_runs_identically_with_threads(self):
-        one = census(2, 2, samples=200, seed=3, threads=1)
-        many = census(2, 2, samples=200, seed=3, threads=4)
-        assert [(c.table, c.verdict, c.survey) for c in one] == [
-            (c.table, c.verdict, c.survey) for c in many
-        ]
-
     def test_structural_measure_matches_numeric_per_gate(self, rng):
         jobs = [
             (2, 2, census(2, 2, samples=50, seed=4), 10),
@@ -166,12 +159,3 @@ class TestCensus:
     def test_side_capacity(self):
         with pytest.raises(CapacityError):
             census(4, 2)
-
-    def test_worker_count_honours_the_environment(self, monkeypatch):
-        from logdec.gates import _worker_count
-
-        monkeypatch.setenv("LOGDEC_THREADS", "3")
-        assert _worker_count(None) == 3
-        assert _worker_count(2) == 2
-        monkeypatch.delenv("LOGDEC_THREADS")
-        assert _worker_count(None) >= 1

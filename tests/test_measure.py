@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from logdec import (
     AtomSet,
+    CapacityError,
     Distribution,
     Ideal,
     OutcomeSpace,
@@ -108,20 +110,21 @@ class TestMergeLoss:
         assert merge_loss(d, A("12")) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_sum_of_sub_atom_measures(self, rng):
-        # Moebius-inversion round trip on random small instances
+        # Moebius-inversion round trip on every atom of random small
+        # instances, so merged members also sit after unmerged outcomes.
         for _ in range(30):
-            n = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 8))
             sp = OutcomeSpace(n)
             dist = random_distribution(rng, sp)
-            d = int(rng.integers(2, n + 1))
-            members = rng.choice(n, size=d, replace=False)
-            s = int(sum(1 << int(i) for i in members))
-            total = sum(
-                mu_atom(dist, t)
-                for t in range(1, sp.full_mask + 1)
-                if t & ~s == 0 and t.bit_count() >= 2
-            )
-            assert merge_loss(dist, s) == pytest.approx(total, abs=1e-9)
+            for s in range(1, sp.full_mask + 1):
+                if s.bit_count() < 2:
+                    continue
+                total = sum(
+                    mu_atom(dist, t)
+                    for t in range(1, s + 1)
+                    if t & ~s == 0 and t.bit_count() >= 2
+                )
+                assert merge_loss(dist, s) == pytest.approx(total, abs=1e-12)
 
 
 class TestFiniteDifferences:
@@ -230,6 +233,16 @@ class TestBulkTable:
             assert mu_ideal(dist, ideal) == pytest.approx(
                 mu_set(dist, ideal.enumerate()), abs=1e-9
             )
+
+    def test_above_the_table_cap_raises_capacity_error(self):
+        sp = OutcomeSpace(21)
+        dist = Distribution.uniform(sp)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            mu_ideal(dist, Ideal.generated_by(sp, [A("12")]))
+        with pytest.raises(CapacityError):
+            mu_table(dist.weights)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_ideal_measures_zero(self):
         sp = OutcomeSpace(4)
