@@ -50,6 +50,7 @@ from .contents import (
 from .parity import (
     ParityClass,
     SignSurvey,
+    Witness,
     certificate_value,
     classify_parity,
     sign_survey,
@@ -81,6 +82,7 @@ __all__ = [
     "Partition",
     "SetExpression",
     "SignSurvey",
+    "Witness",
     "all_partitions",
     "atom_bits",
     "build_gate",

@@ -8,7 +8,8 @@ Reports go to stdout as aligned text or, with --json, as a JSON document
 with numbers at 12 significant digits; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 parse/validation error, 3 capacity, 4 failed
-precondition (for example witness construction on a non-mixed system).
+precondition (for example witness construction on a non-mixed system),
+5 internal error (a violated internal invariant, reported on one line).
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from dataclasses import dataclass
 
 from . import __version__
 from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree
-from .contents import coinformation_content, coinformation_numeric, content
+from .contents import (
+    check_variable_capacity,
+    coinformation_content,
+    coinformation_numeric,
+    content,
+)
 from .gates import GateSystem, build_gate, census, named_gate
 from .ideals import Ideal
 from .measure import check_table_capacity, entropy, mu_atom, mu_ideal
@@ -329,16 +335,10 @@ def cmd_census(args, argv) -> dict:
             "verdict": c.verdict,
             "seed": c.seed,
         }
-        if c.witness_positive is not None:
-            row["witness_positive"] = {
-                "p": list(c.witness_positive.weights),
-                "mu": mu_ideal(c.witness_positive, c.ideal),
-            }
-        if c.witness_negative is not None:
-            row["witness_negative"] = {
-                "p": list(c.witness_negative.weights),
-                "mu": mu_ideal(c.witness_negative, c.ideal),
-            }
+        for side, w in (("witness_positive", c.witness_positive),
+                        ("witness_negative", c.witness_negative)):
+            if w is not None:
+                row[side] = {"p": list(w.dist.weights), "mu": w.mu}
         rows.append(row)
     negatives = sum(1 for c in classifications if c.verdict == "AlwaysNegative")
     results = {
@@ -372,6 +372,7 @@ def cmd_witness(args, argv) -> dict:
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
         raise ParseError("witness construction needs at least two variable names")
+    check_variable_capacity(len(chosen))
     parts = [p for _, p in chosen]
     ideal = coinformation_content(parts)
     if ideal.is_empty:
@@ -383,27 +384,20 @@ def cmd_witness(args, argv) -> dict:
             f"co-information ideal is not strongly mixed (pure {kind} generators); "
             "no two-sided witness exists"
         )
-    positive, negative = witness_distributions(ideal)
     results = {
         "variables": [name for name, _ in chosen],
         "generators": _format_generators(ideal),
-        "positive": {
-            "p": list(positive.weights),
-            "mu": mu_ideal(positive, ideal),
-            "coinformation": coinformation_numeric(positive, parts),
-        },
-        "negative": {
-            "p": list(negative.weights),
-            "mu": mu_ideal(negative, ideal),
-            "coinformation": coinformation_numeric(negative, parts),
-        },
     }
-    report = make_report("witness", argv, None, results)
     lines = []
-    for side in ("positive", "negative"):
-        w = results[side]
-        ps = ", ".join(f"{x:.6g}" for x in w["p"])
-        lines.append(f"{side} witness: p = [{ps}]   mu = {w['mu']:+.6f} bits")
+    for side, w in zip(("positive", "negative"), witness_distributions(ideal)):
+        results[side] = {
+            "p": list(w.dist.weights),
+            "mu": w.mu,
+            "coinformation": coinformation_numeric(w.dist, parts),
+        }
+        ps = ", ".join(f"{x:.6g}" for x in w.dist.weights)
+        lines.append(f"{side} witness: p = [{ps}]   mu = {w.mu:+.6f} bits")
+    report = make_report("witness", argv, None, results)
     _emit(report, args.json, lines)
     return report
 
@@ -477,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 5
     return 0
 
 

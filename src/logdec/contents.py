@@ -32,6 +32,8 @@ from .measure import entropy
 
 BRUTE_FORCE_MAX_N = 16
 VARIABLE_CONSTRUCTION_CAP = 10**6
+# Co-information over k variables needs 2**k - 1 joint entropies.
+MAX_VARIABLES = 12
 
 
 def content(part: Partition) -> Ideal:
@@ -147,11 +149,20 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     return ideal
 
 
+def check_variable_capacity(count: int) -> None:
+    """Raise CapacityError when a co-information has too many variables."""
+    if count > MAX_VARIABLES:
+        raise CapacityError(
+            f"co-information is capped at {MAX_VARIABLES} variables, got {count}"
+        )
+
+
 def inclusion_exclusion_terms(parts: list[Partition]) -> list[tuple[float, Partition]]:
     """(sign, common refinement) of every nonempty subfamily, in bit-pattern
     order; the sign is +1 for odd sizes and -1 for even ones."""
     if not parts:
         raise ValueError("co-information needs at least one variable")
+    check_variable_capacity(len(parts))
     terms = []
     for sub in range(1, 1 << len(parts)):
         chosen = [p for i, p in enumerate(parts) if sub >> i & 1]

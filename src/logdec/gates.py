@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     CapacityError,
-    Distribution,
     OutcomeSpace,
     Partition,
     first_occurrence_relabel,
@@ -27,12 +26,13 @@ from .core import (
 )
 from .contents import coinformation_content, inclusion_exclusion_terms
 from .ideals import Ideal
+from .measure import xlog2x
 from .parity import (
     CERTIFIED_ODD,
-    DEFAULT_BUDGET,
     STRONGLY_MIXED,
     ParityClass,
     SignSurvey,
+    Witness,
     classify_parity,
     sign_survey,
     witness_distributions,
@@ -73,8 +73,8 @@ class GateClassification:
     parity: ParityClass | None
     survey: SignSurvey
     verdict: str
-    witness_positive: Distribution | None
-    witness_negative: Distribution | None
+    witness_positive: Witness | None
+    witness_negative: Witness | None
     seed: int
 
 
@@ -157,12 +157,7 @@ def _coinformation_value_fn(parts: list[Partition]):
     def value(weight_rows: np.ndarray) -> np.ndarray:
         total = np.zeros(weight_rows.shape[0], dtype=np.float64)
         for sign, onehot in terms:
-            masses = weight_rows @ onehot
-            h = -np.sum(
-                np.where(masses > 0.0, masses * np.log2(np.where(masses > 0.0, masses, 1.0)), 0.0),
-                axis=1,
-            )
-            total += sign * h
+            total -= sign * np.sum(xlog2x(weight_rows @ onehot), axis=1)
         return total
 
     return value
@@ -172,7 +167,6 @@ def classify_gate(
     gate: GateSystem,
     samples: int = 1000,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
     orbit_size: int = 1,
 ) -> GateClassification:
     """Classify one gate: triple ideal, parity, survey, witnesses, verdict."""
@@ -193,7 +187,7 @@ def classify_gate(
             )
         verdict = ZERO_COINFORMATION
     else:
-        parity_class = classify_parity(ideal, budget)
+        parity_class = classify_parity(ideal)
         parities = ideal.generator_parities()
         if parity_class.tag == STRONGLY_MIXED:
             witness_positive, witness_negative = witness_distributions(ideal)

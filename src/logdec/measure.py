@@ -140,6 +140,11 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
+def xlog2x(m: np.ndarray) -> np.ndarray:
+    """Elementwise m * log2(m), with 0 * log 0 = 0."""
+    return np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
+
+
 def check_table_capacity(n: int) -> None:
     """Raise CapacityError when n outcomes exceed the measure table's cap."""
     if n > _TABLE_MAX_N:
@@ -154,7 +159,7 @@ def mu_table_batch(weight_rows: np.ndarray) -> np.ndarray:
     m = np.zeros((s, 1), dtype=np.float64)
     for k in range(n):
         m = np.concatenate([m, m + W[:, k : k + 1]], axis=1)
-    t = np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
+    t = xlog2x(m)
     for b in range(n):
         step = 1 << b
         v = t.reshape(s, -1, 2 * step)

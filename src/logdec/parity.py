@@ -13,7 +13,7 @@ outcome and surveys still characterise such ideals empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +63,13 @@ class SignSurvey:
     def __post_init__(self):
         if self.positive + self.negative + self.zero != self.samples:
             raise ValueError("survey counts must add up to the sample count")
+
+
+class Witness(NamedTuple):
+    """A distribution and the ideal's measure under it."""
+
+    dist: Distribution
+    mu: float
 
 
 class _Budget:
@@ -169,10 +176,8 @@ def single_generator_sign(dist: Distribution, generator: int) -> int:
     return expected
 
 
-def witness_distributions(
-    ideal: Ideal, epsilons: tuple[float, ...] = WITNESS_EPSILONS
-) -> tuple[Distribution | None, Distribution | None]:
-    """Distributions driving the ideal's measure positive and negative.
+def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]:
+    """Witnesses driving the ideal's measure positive and negative.
 
     Mass sits uniformly on one generator with epsilon elsewhere; the
     schedule shrinks epsilon until the sign is stable with margin.  A
@@ -182,15 +187,15 @@ def witness_distributions(
         raise ValueError("the empty ideal has measure 0 everywhere")
     evens = [g for g in ideal.sorted_generators() if degree(g) % 2 == 0]
     odds = [g for g in ideal.sorted_generators() if degree(g) % 2 == 1]
-    positive = _witness_for(ideal, evens[0], 1, epsilons) if evens else None
-    negative = _witness_for(ideal, odds[0], -1, epsilons) if odds else None
+    positive = _witness_for(ideal, evens[0], 1) if evens else None
+    negative = _witness_for(ideal, odds[0], -1) if odds else None
     return positive, negative
 
 
-def _witness_for(ideal, generator, sign, epsilons) -> Distribution:
+def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
     space = ideal.space
     members = atom_bits(generator)
-    for eps in epsilons:
+    for eps in WITNESS_EPSILONS:
         weights = [eps] * space.n
         for i in members:
             weights[i] = 1.0 / len(members)
@@ -198,7 +203,7 @@ def _witness_for(ideal, generator, sign, epsilons) -> Distribution:
         dist = Distribution(space, tuple(w / total for w in weights))
         value = mu_ideal(dist, ideal)
         if sign * value > WITNESS_MARGIN:
-            return dist
+            return Witness(dist, value)
     raise RuntimeError(
         "witness search exhausted its epsilon schedule without a stable sign"
     )

@@ -260,9 +260,9 @@ def test_criterion_6_mixed_gate_witnesses():
             if pos is None or neg is None:
                 failures += 1
                 continue
-            if not mu_ideal(pos, c.ideal) > 1e-8:
+            if not mu_ideal(pos.dist, c.ideal) > 1e-8:
                 failures += 1
-            if not mu_ideal(neg, c.ideal) < -1e-8:
+            if not mu_ideal(neg.dist, c.ideal) < -1e-8:
                 failures += 1
     _report(
         "both-sign witnesses for every mixed census gate",

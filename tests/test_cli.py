@@ -194,6 +194,53 @@ class TestCoinfo:
             assert code == 3
             assert err.startswith("capacity error:") and err.count("\n") == 1
 
+    @staticmethod
+    def _many_variables(tmp_path, k):
+        n = 6
+        path = tmp_path / f"vars-{k}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [f"o{i}" for i in range(n)],
+                    "p": [1.0 / n] * n,
+                    "variables": {f"V{i}": [(j + i) % 3 for j in range(n)] for i in range(k)},
+                }
+            )
+        )
+        return str(path)
+
+    def test_too_many_variables_fail_fast(self, capsys, tmp_path):
+        path = self._many_variables(tmp_path, 22)
+        for argv in (["coinfo"], ["coinfo", "--structure"], ["witness"]):
+            start = time.perf_counter()
+            code, _, err = run(capsys, *argv, "--file", path)
+            assert time.perf_counter() - start < 2.0
+            assert code == 3
+            assert err.startswith("capacity error:") and err.count("\n") == 1
+
+    def test_variable_cap_still_answers(self, capsys, tmp_path):
+        from logdec.contents import MAX_VARIABLES
+
+        code, out, _ = run(capsys, "coinfo", "--file", self._many_variables(tmp_path, MAX_VARIABLES), "--json")
+        assert code == 0
+        assert len(json.loads(out)["results"]["variables"]) == MAX_VARIABLES
+
+
+class TestInternalErrors:
+    def test_exhausted_witness_schedule_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr("logdec.parity.WITNESS_EPSILONS", ())
+        code, out, err = run(capsys, "witness", "--gate", "or:2x2")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: witness search exhausted")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_violated_degree_bound_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr("logdec.contents.degree", lambda mask: 99)
+        code, out, err = run(capsys, "coinfo", "--gate", "or:2x2", "--structure")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: generator degree bound violated")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCensusCommand:
     def test_two_by_two_summary(self, capsys):

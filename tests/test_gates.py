@@ -93,8 +93,10 @@ class TestClassifyGate:
         assert gc.verdict == MIXED_SIGN
         assert gc.parity.tag == STRONGLY_MIXED
         assert gc.ideal == Ideal.generated_by(gc.ideal.space, [A("14"), A("123")])
-        assert mu_ideal(gc.witness_positive, gc.ideal) > 1e-8
-        assert mu_ideal(gc.witness_negative, gc.ideal) < -1e-8
+        assert mu_ideal(gc.witness_positive.dist, gc.ideal) > 1e-8
+        assert mu_ideal(gc.witness_negative.dist, gc.ideal) < -1e-8
+        assert gc.witness_positive.mu == mu_ideal(gc.witness_positive.dist, gc.ideal)
+        assert gc.witness_negative.mu == mu_ideal(gc.witness_negative.dist, gc.ideal)
 
     def test_copy_gate_is_nonnegative_mutual_information(self):
         gc = classify_gate(named_gate("copyx:2x2"), samples=500, seed=1)

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +258,40 @@ class TestBulkTable:
             for atom in range(1, sp.full_mask + 1):
                 if atom.bit_count() >= 2:
                     assert table[atom] == pytest.approx(mu_atom(dist, atom), abs=1e-10)
+
+
+def _oracle_top_atom(weights) -> mpmath.mpf:
+    """mu of the full-space atom as a 60-digit alternating sum of x*log2(x)."""
+    n = len(weights)
+    with mpmath.workdps(60):
+        sums = [mpmath.mpf(0)]
+        for w in weights:
+            sums += [s + mpmath.mpf(w) for s in sums]
+        total = mpmath.mpf(0)
+        for sub in range(1, 1 << n):
+            s = sums[sub]
+            term = s * mpmath.log(s, 2) if s > 0 else mpmath.mpf(0)
+            total += term if (n - sub.bit_count()) % 2 == 0 else -term
+        return total
+
+
+class TestAccuracy:
+    # Absolute error: the top atom of skewed weights can be ~1e-13 itself,
+    # so relative error says nothing there.
+    ABS_ERROR = 1e-12
+
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet-1", "dirichlet-0.2"])
+    def test_top_atom_against_a_60_digit_oracle(self, kind):
+        rng = np.random.default_rng(20240818)
+        for n in range(2, 13):
+            if kind == "uniform":
+                weights = [1.0 / n] * n
+            else:
+                alpha = float(kind.split("-")[1])
+                weights = [float(x) for x in rng.dirichlet(np.full(n, alpha))]
+            exact = _oracle_top_atom(weights)
+            top = (1 << n) - 1
+            table_value = mu_table(weights)[top]
+            atom_value = mu_atom(Distribution(OutcomeSpace(n), weights), top)
+            assert abs(mpmath.mpf(float(table_value)) - exact) <= self.ABS_ERROR, n
+            assert abs(mpmath.mpf(atom_value) - exact) <= self.ABS_ERROR, n

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from logdec import (
@@ -70,6 +71,39 @@ class TestClassification:
 
 
 class TestCertificates:
+    def test_certificate_is_the_moebius_inverse_of_membership(self, rng):
+        # The leaf measures mu(<a>) are linearly independent, so an ideal has
+        # exactly one signed leaf expansion: the Moebius inverse of its
+        # membership table.  A certificate must be that expansion, and an
+        # Undetermined ideal must have a wrongly signed leaf in it.
+        from conftest import random_ideal
+
+        seen = {CERTIFIED_EVEN: 0, CERTIFIED_ODD: 0, UNDETERMINED: 0}
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            the_ideal = random_ideal(rng, OutcomeSpace(n), 6)
+            parities = the_ideal.generator_parities()
+            if len(parities) == 2:
+                continue
+            masks = np.arange(1 << n)
+            coeff = np.zeros(1 << n, dtype=np.int64)
+            for g in the_ideal.generators:
+                coeff[(masks & g) == g] = 1
+            for b in range(n):
+                step = 1 << b
+                v = coeff.reshape(-1, 2 * step)
+                v[:, step:] -= v[:, :step]
+            leaves = {int(m): int(c) for m, c in enumerate(coeff) if c}
+            target = 1 if parities == {0} else -1
+            uniform = all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
+            pc = classify_parity(the_ideal)
+            seen[pc.tag] += 1
+            if pc.tag == UNDETERMINED:
+                assert not uniform
+            else:
+                assert dict(pc.certificate) == leaves
+        assert min(seen.values()) >= 10, seen
+
     @pytest.mark.parametrize("the_ideal", [XOR_IDEAL, ideal(4, "12", "23"), ideal(5, "12", "23", "34")])
     def test_expansion_identity_holds_numerically(self, the_ideal, rng):
         pc = classify_parity(the_ideal)
@@ -132,26 +166,26 @@ class TestSingleGeneratorSign:
 class TestWitnesses:
     def test_mixed_ideal_yields_both_signs(self):
         pos, neg = witness_distributions(OR_IDEAL)
-        assert mu_ideal(pos, OR_IDEAL) > 1e-8
-        assert mu_ideal(neg, OR_IDEAL) < -1e-8
-        assert pos.normalized and neg.normalized
+        assert mu_ideal(pos.dist, OR_IDEAL) > 1e-8
+        assert mu_ideal(neg.dist, OR_IDEAL) < -1e-8
+        assert pos.dist.normalized and neg.dist.normalized
 
     def test_pure_even_only_has_a_positive_side(self):
         pos, neg = witness_distributions(ideal(3, "12"))
         assert neg is None
-        assert mu_ideal(pos, ideal(3, "12")) > 1e-8
+        assert mu_ideal(pos.dist, ideal(3, "12")) > 1e-8
 
     def test_pure_odd_only_has_a_negative_side(self):
         pos, neg = witness_distributions(XOR_IDEAL)
         assert pos is None
-        assert mu_ideal(neg, XOR_IDEAL) < -1e-8
+        assert mu_ideal(neg.dist, XOR_IDEAL) < -1e-8
 
     def test_or_gate_witnesses_match_the_biased_regimes(self):
         # mass on the diagonal pushes the co-information positive,
         # mass on the low triple pushes it negative
         pos, neg = witness_distributions(OR_IDEAL)
-        assert pos.weights[0] == pos.weights[3] > 0.4
-        assert neg.weights[3] < 0.05
+        assert pos.dist.weights[0] == pos.dist.weights[3] > 0.4
+        assert neg.dist.weights[3] < 0.05
 
     def test_random_mixed_ideals_always_get_both_sides(self, rng):
         from conftest import random_atom
@@ -166,8 +200,20 @@ class TestWitnesses:
                 continue
             produced += 1
             pos, neg = witness_distributions(the_ideal)
-            assert mu_ideal(pos, the_ideal) > 1e-8
-            assert mu_ideal(neg, the_ideal) < -1e-8
+            assert mu_ideal(pos.dist, the_ideal) > 1e-8
+            assert mu_ideal(neg.dist, the_ideal) < -1e-8
+
+    def test_carried_measure_is_the_measure_bit_for_bit(self, rng):
+        from conftest import random_ideal
+
+        checked = 0
+        for _ in range(60):
+            the_ideal = random_ideal(rng, OutcomeSpace(int(rng.integers(2, 9))), 4)
+            for w in witness_distributions(the_ideal):
+                if w is not None:
+                    assert w.mu == mu_ideal(w.dist, the_ideal)
+                    checked += 1
+        assert checked >= 60
 
 
 class TestSurveys:
