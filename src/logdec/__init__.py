@@ -9,6 +9,19 @@ probabilities are chosen, witness constructions for mixed-parity
 systems, and an exhaustive census of deterministic two-input gates.
 """
 
+import os
+
+# logdec's only BLAS call is a small matrix product, where a second
+# OpenBLAS thread only spins on another core.  OpenBLAS reads this
+# variable once, when numpy loads it, so it is set for that import alone
+# (unless the user chose a value) and the environment is left as it was.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .core import (
     AtomSet,
     CapacityError,

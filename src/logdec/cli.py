@@ -28,7 +28,7 @@ from .contents import (
     coinformation_numeric,
     content,
 )
-from .gates import GateSystem, build_gate, census, named_gate
+from .gates import GateSystem, build_gate, census, check_census_arguments, named_gate
 from .ideals import Ideal
 from .measure import check_table_capacity, entropy, mu_atom, mu_ideal
 from .parity import classify_parity, witness_distributions
@@ -318,6 +318,7 @@ def _survey_dict(survey) -> dict:
 
 
 def cmd_census(args, argv) -> dict:
+    check_census_arguments(args.nx, args.ny, args.samples)
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(32)

@@ -16,12 +16,24 @@ from .core import AtomSet, OutcomeSpace, degree, non_entropic
 
 
 def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
-    """Drop every pattern that contains another; the result is unique."""
-    ordered = sorted({int(a) for a in atoms}, key=lambda m: (m.bit_count(), m))
-    keep: list[int] = []
-    for m in ordered:
-        if not any(k & m == k for k in keep):
-            keep.append(m)
+    """Drop every pattern that contains another; the result is unique.
+
+    Patterns are visited by degree, so every proper subpattern of one
+    has been decided before it.  A candidate is checked against the kept
+    set by whichever is shorter: looking up its 2**degree submasks, or
+    scanning the kept patterns.
+    """
+    keep: set[int] = set()
+    for m in sorted({int(a) for a in atoms}, key=int.bit_count):
+        if 1 << m.bit_count() <= len(keep):
+            sub = (m - 1) & m
+            while sub and sub not in keep:
+                sub = (sub - 1) & m
+            covered = sub != 0
+        else:
+            covered = any(k & m == k for k in keep)
+        if not covered:
+            keep.add(m)
     return frozenset(keep)
 
 

@@ -15,7 +15,6 @@ exactly 0 (the continuous extension).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -131,18 +130,13 @@ def finite_difference_derivative(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _popcounts(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint32)
-    pc = np.zeros(1 << n, dtype=np.int8)
-    for b in range(n):
-        pc += ((idx >> b) & 1).astype(np.int8)
-    return pc
-
-
 def xlog2x(m: np.ndarray) -> np.ndarray:
-    """Elementwise m * log2(m), with 0 * log 0 = 0."""
-    return np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
+    """Elementwise m * log2(m), with 0 * log 0 = 0, in one new array."""
+    positive = m > 0.0
+    out = np.zeros(m.shape, dtype=np.float64)
+    np.log2(m, out=out, where=positive)
+    np.multiply(m, out, out=out, where=positive)
+    return out
 
 
 def check_table_capacity(n: int) -> None:
@@ -151,20 +145,26 @@ def check_table_capacity(n: int) -> None:
         raise CapacityError(f"the measure table is capped at {_TABLE_MAX_N} outcomes, got {n}")
 
 
+def _below_degree_two(n: int) -> list[int]:
+    """The masks of degree 0 and 1."""
+    return [0] + [1 << k for k in range(n)]
+
+
 def mu_table_batch(weight_rows: np.ndarray) -> np.ndarray:
     """mu of every mask for many weight vectors at once; rows index samples."""
     W = np.asarray(weight_rows, dtype=np.float64)
     s, n = W.shape
     check_table_capacity(n)
-    m = np.zeros((s, 1), dtype=np.float64)
+    m = np.zeros((s, 1 << n), dtype=np.float64)
     for k in range(n):
-        m = np.concatenate([m, m + W[:, k : k + 1]], axis=1)
+        step = 1 << k
+        np.add(m[:, :step], W[:, k : k + 1], out=m[:, step : 2 * step])
     t = xlog2x(m)
     for b in range(n):
         step = 1 << b
         v = t.reshape(s, -1, 2 * step)
         v[:, :, step:] -= v[:, :, :step]
-    t[:, _popcounts(n) < 2] = 0.0
+    t[:, _below_degree_two(n)] = 0.0
     return t
 
 
@@ -183,17 +183,21 @@ def ideal_member_flags(ideal: Ideal) -> np.ndarray:
         step = 1 << b
         v = flags.reshape(-1, 2 * step)
         v[:, step:] |= v[:, :step]
-    flags &= _popcounts(n) >= 2
+    flags[_below_degree_two(n)] = False
     return flags
 
 
 def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
-    """Measure of one ideal under many weight vectors at once."""
+    """Measure of one ideal under many weight vectors at once.
+
+    Each row is summed on its own, so a row's value does not depend on
+    the rows batched with it.
+    """
     W = np.asarray(weight_rows, dtype=np.float64)
     if ideal.is_empty:
         return np.zeros(W.shape[0], dtype=np.float64)
-    t = mu_table_batch(W)
-    return t[:, ideal_member_flags(ideal)].sum(axis=1)
+    flags = ideal_member_flags(ideal)
+    return np.array([row[flags].sum() for row in mu_table_batch(W)], dtype=np.float64)
 
 
 def mu_ideal(dist: Distribution, ideal: Ideal) -> float:

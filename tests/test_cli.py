@@ -268,6 +268,44 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--nx", "4", "--ny", "2")
         assert code == 3
 
+    @staticmethod
+    def _forbid_enumeration(monkeypatch):
+        def enumerate_classes(nx, ny):
+            raise AssertionError("classes were enumerated before validation")
+
+        monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
+
+    @pytest.mark.parametrize("sides", [("0", "2"), ("2", "0"), ("-1", "3")])
+    def test_sides_below_one_are_a_validation_error(self, capsys, monkeypatch, sides):
+        self._forbid_enumeration(monkeypatch)
+        code, _, err = run(capsys, "census", "--nx", sides[0], "--ny", sides[1])
+        assert code == 2
+        assert "at least one symbol" in err
+        assert "generated seed" not in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_fail_before_any_work(self, capsys, monkeypatch, samples):
+        self._forbid_enumeration(monkeypatch)
+        code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", samples)
+        assert code == 2
+        assert "at least one sample" in err
+        assert "generated seed" not in err
+
+    def test_sample_cap_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "1000000000")
+        assert code == 3
+        assert time.perf_counter() - start < 2.0
+        assert "capped at 100000 samples" in err
+        assert "generated seed" not in err
+
+    def test_sample_cap_still_answers(self, capsys):
+        code, out, _ = run(
+            capsys, "census", "--nx", "1", "--ny", "2", "--samples", "100000", "--seed", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["samples"] == 100000
+
 
 class TestWitnessCommand:
     def test_or_gate_gives_both_signs(self, capsys):

@@ -151,3 +151,29 @@ class TestOracleEquivalence:
         lhs = mu_ideal(dist, i.union(j))
         rhs = mu_ideal(dist, i) + mu_ideal(dist, j) - mu_ideal(dist, i.intersection(j))
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_minimal_antichain_matches_the_definition(self):
+        # Keep m iff no other element is a submask of it.  Set sizes and
+        # degrees straddle 2**degree <= len(kept), where the candidate
+        # check switches from scanning the kept set to submask lookups.
+        rng = np.random.default_rng(20241018)
+        lookups = scans = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            size = int(rng.integers(1, 400))
+            top = int(rng.integers(1, n + 1))
+            atoms = {
+                int(sum(1 << int(i) for i in rng.choice(n, size=int(rng.integers(1, top + 1)), replace=False)))
+                for _ in range(size)
+            }
+            arr = np.array(sorted(atoms), dtype=np.int64)
+            below = (arr[:, None] & arr[None, :]) == arr[:, None]
+            np.fill_diagonal(below, False)
+            expected = frozenset(int(m) for m in arr[~below.any(axis=0)])
+            assert minimal_antichain(atoms) == expected
+            for m in atoms:
+                if 1 << m.bit_count() <= len(expected):
+                    lookups += 1
+                else:
+                    scans += 1
+        assert lookups > 1000 and scans > 1000

@@ -24,6 +24,8 @@ from logdec import (
     mu_table,
 )
 
+from logdec.measure import mu_ideal_batch, mu_table_batch
+
 from conftest import A, random_distribution, random_partition
 
 LG3 = math.log2(3.0)
@@ -249,6 +251,36 @@ class TestBulkTable:
         sp = OutcomeSpace(4)
         assert mu_ideal(Distribution.uniform(sp), Ideal.empty(sp)) == 0.0
 
+    def test_kernel_is_bit_identical_to_the_concatenate_kernel(self, rng):
+        from conftest import random_ideal
+
+        for n in range(2, 17):
+            rows = rng.dirichlet(np.ones(n), size=4)
+            rows[1, int(rng.integers(n))] = 0.0
+            rows[2] *= 7.3
+            rows[3] = rng.uniform(0.0, 3.0, size=n)
+            reference = _concatenate_kernel(rows)
+            assert np.array_equal(mu_table_batch(rows), reference), n
+            sp = OutcomeSpace(n)
+            for _ in range(3):
+                ideal = random_ideal(rng, sp, max_generators=12)
+                flags = np.zeros(1 << n, dtype=bool)
+                flags[list(ideal.enumerate().atoms)] = True
+                for row, table in zip(rows, reference):
+                    expected = table[None, :][:, flags].sum(axis=1)[0]
+                    assert mu_ideal(Distribution(sp, tuple(row)), ideal) == expected, n
+
+    def test_batched_rows_measure_as_single_rows(self, rng):
+        from conftest import random_ideal
+
+        for n in (3, 9, 12):
+            sp = OutcomeSpace(n)
+            rows = rng.dirichlet(np.ones(n), size=50)
+            ideal = random_ideal(rng, sp, max_generators=6)
+            batch = mu_ideal_batch(rows, ideal)
+            singles = [mu_ideal(Distribution(sp, tuple(r)), ideal) for r in rows]
+            assert np.array_equal(batch, singles)
+
     def test_table_handles_unnormalized_weights(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -258,6 +290,24 @@ class TestBulkTable:
             for atom in range(1, sp.full_mask + 1):
                 if atom.bit_count() >= 2:
                     assert table[atom] == pytest.approx(mu_atom(dist, atom), abs=1e-10)
+
+
+def _concatenate_kernel(weight_rows) -> np.ndarray:
+    """The table kernel as first written: concatenated mass halves and
+    np.where temporaries.  Same float operations in the same order."""
+    W = np.asarray(weight_rows, dtype=np.float64)
+    s, n = W.shape
+    m = np.zeros((s, 1), dtype=np.float64)
+    for k in range(n):
+        m = np.concatenate([m, m + W[:, k : k + 1]], axis=1)
+    t = np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
+    for b in range(n):
+        step = 1 << b
+        v = t.reshape(s, -1, 2 * step)
+        v[:, :, step:] -= v[:, :, :step]
+    degrees = np.array([bin(i).count("1") for i in range(1 << n)])
+    t[:, degrees < 2] = 0.0
+    return t
 
 
 def _oracle_top_atom(weights) -> mpmath.mpf:

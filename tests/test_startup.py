@@ -1,0 +1,60 @@
+"""Process start-up: importing logdec loads numpy with one BLAS thread."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import logdec
+
+SRC = str(Path(logdec.__file__).resolve().parents[1])
+PROBE = (
+    "import json, os, logdec; print(json.dumps({"
+    "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "'threads': len(os.listdir('/proc/self/task'))}))"
+)
+
+
+def _blas_name() -> str:
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return ""
+
+
+uses_openblas = "openblas" in _blas_name().lower()
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc to count threads"
+)
+
+
+def probe(**env_overrides) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+class TestBlasThreads:
+    def test_environment_is_left_as_it_was(self):
+        assert probe()["env"] is None
+        assert probe(OPENBLAS_NUM_THREADS="2")["env"] == "2"
+
+    @needs_proc
+    @pytest.mark.skipif(not uses_openblas, reason="numpy is not built on OpenBLAS")
+    def test_one_thread_by_default(self):
+        assert probe()["threads"] == 1
+
+    @needs_proc
+    @pytest.mark.skipif(not uses_openblas, reason="numpy is not built on OpenBLAS")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps threads at the cores")
+    def test_user_setting_is_respected(self):
+        assert probe(OPENBLAS_NUM_THREADS="2")["threads"] == 2
