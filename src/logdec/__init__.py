@@ -35,12 +35,10 @@ from .core import (
     degree,
     enumerate_complex,
     non_entropic,
-    restrict,
 )
 from .ideals import Ideal, minimal_antichain
 from .measure import (
     entropy,
-    finite_difference_derivative,
     merge_loss,
     mu_atom,
     mu_ideal,
@@ -48,23 +46,17 @@ from .measure import (
     mu_table,
 )
 from .contents import (
-    SetExpression,
     coinformation_content,
     coinformation_numeric,
     content,
     content_bruteforce,
     count_expressions,
-    evaluate_expression,
-    extract_atom,
-    gacs_korner,
     ideal_to_variables,
-    is_representable,
 )
 from .parity import (
     ParityClass,
     SignSurvey,
     Witness,
-    certificate_value,
     classify_parity,
     sign_survey,
     single_generator_sign,
@@ -93,7 +85,6 @@ __all__ = [
     "OutcomeSpace",
     "ParityClass",
     "Partition",
-    "SetExpression",
     "SignSurvey",
     "Witness",
     "all_partitions",
@@ -102,7 +93,6 @@ __all__ = [
     "canonical_classes",
     "canonicalize",
     "census",
-    "certificate_value",
     "classify_gate",
     "classify_parity",
     "coinformation_content",
@@ -115,12 +105,7 @@ __all__ = [
     "degree",
     "entropy",
     "enumerate_complex",
-    "evaluate_expression",
-    "extract_atom",
-    "finite_difference_derivative",
-    "gacs_korner",
     "ideal_to_variables",
-    "is_representable",
     "merge_loss",
     "minimal_antichain",
     "mu_atom",
@@ -129,7 +114,6 @@ __all__ = [
     "mu_table",
     "named_gate",
     "non_entropic",
-    "restrict",
     "sign_survey",
     "single_generator_sign",
     "witness_distributions",

@@ -97,14 +97,6 @@ def parse_system(text: str) -> SystemFile:
     return SystemFile(outcomes=tuple(outcomes), p=p, variables=parsed_vars)
 
 
-def serialize_system(sf: SystemFile) -> str:
-    doc: dict = {"outcomes": list(sf.outcomes)}
-    if sf.p is not None:
-        doc["p"] = list(sf.p)
-    doc["variables"] = {name: list(blocks) for name, blocks in sf.variables.items()}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 @dataclass(frozen=True)
 class System:
     space: OutcomeSpace

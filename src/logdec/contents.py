@@ -3,25 +3,21 @@
 The content of a variable is the ideal of all atoms crossing one of its
 block boundaries; as an ideal it is generated by the cross-block pairs.
 Intersections of contents realise co-informations structurally, and the
-constructions here also walk the other way: from an ideal to a family of
-variables whose co-information content is exactly that ideal, and from a
-single atom to the pair of ideals whose difference isolates it.
+construction here also walks the other way: from an ideal to a family of
+variables whose co-information content is exactly that ideal.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Mapping
 
 from .core import (
     AtomSet,
     CapacityError,
     Distribution,
-    OutcomeSpace,
     Partition,
     atom_bits,
-    common_coarsening,
     common_refinement,
     degree,
     first_occurrence_relabel,
@@ -31,7 +27,14 @@ from .ideals import Ideal
 from .measure import entropy
 
 BRUTE_FORCE_MAX_N = 16
-VARIABLE_CONSTRUCTION_CAP = 10**6
+# ideal_to_variables builds, per combination of per-generator choices, one
+# common refinement for each generator after the first (at least one
+# partition for a single generator), at about 10-13 us each at 24
+# outcomes.  The cap counts those builds.  The heaviest accepted inputs
+# measured, at 24 outcomes on one core of a 2-vCPU Xeon VM, take 1.9 s
+# and up to 124 MB: one degree-17 generator (131 070 builds), or five
+# triples and two pairs (186 624 builds).
+VARIABLE_CONSTRUCTION_CAP = 200_000
 # Co-information over k variables needs 2**k - 1 joint entropies.
 MAX_VARIABLES = 12
 
@@ -64,66 +67,6 @@ def content_bruteforce(part: Partition) -> AtomSet:
         if not non_entropic(m) and part.crosses(m)
     )
     return AtomSet(space, atoms)
-
-
-class SetExpression:
-    """Tree of unions, intersections and differences over named variables.
-
-    Build leaves with SetExpression.var and combine with | & -.
-    """
-
-    __slots__ = ("op", "name", "left", "right")
-
-    def __init__(self, op, name=None, left=None, right=None):
-        if op not in ("var", "union", "inter", "diff"):
-            raise ValueError(f"unknown operator {op!r}")
-        self.op = op
-        self.name = name
-        self.left = left
-        self.right = right
-
-    @classmethod
-    def var(cls, name: str) -> "SetExpression":
-        return cls("var", name=name)
-
-    def __or__(self, other):
-        return SetExpression("union", left=self, right=other)
-
-    def __and__(self, other):
-        return SetExpression("inter", left=self, right=other)
-
-    def __sub__(self, other):
-        return SetExpression("diff", left=self, right=other)
-
-    def variable_names(self) -> set[str]:
-        if self.op == "var":
-            return {self.name}
-        return self.left.variable_names() | self.right.variable_names()
-
-    def __repr__(self) -> str:
-        if self.op == "var":
-            return self.name
-        sym = {"union": "|", "inter": "&", "diff": "-"}[self.op]
-        return f"({self.left!r} {sym} {self.right!r})"
-
-
-def evaluate_expression(
-    expr: SetExpression, bindings: Mapping[str, Partition]
-) -> AtomSet:
-    """Set-evaluate an expression tree over the bound variables' contents."""
-    if expr.op == "var":
-        if expr.name not in bindings:
-            raise ValueError(f"unbound variable {expr.name!r}")
-        return content(bindings[expr.name]).enumerate()
-    left = evaluate_expression(expr.left, bindings)
-    right = evaluate_expression(expr.right, bindings)
-    if expr.op == "union":
-        atoms = left.atoms | right.atoms
-    elif expr.op == "inter":
-        atoms = left.atoms & right.atoms
-    else:
-        atoms = left.atoms - right.atoms
-    return AtomSet(left.space, atoms)
 
 
 def coinformation_content(parts: list[Partition]) -> Ideal:
@@ -183,65 +126,6 @@ def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
     return total
 
 
-def is_representable(atom_set: AtomSet) -> tuple[bool, Partition | None]:
-    """Decide whether an atom set is the content of some partition.
-
-    Outcomes are treated as merged when their pair atom is absent; the
-    set is representable exactly when that relation is transitive and the
-    induced partition's content reproduces the set.  Returns the witness
-    partition on success.
-    """
-    space = atom_set.space
-    n = space.n
-    merged = [[False] * n for _ in range(n)]
-    for i in range(n):
-        merged[i][i] = True
-        for j in range(i + 1, n):
-            if (1 << i | 1 << j) not in atom_set.atoms:
-                merged[i][j] = merged[j][i] = True
-    component = [-1] * n
-    comp = 0
-    for i in range(n):
-        if component[i] != -1:
-            continue
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            if component[x] != -1:
-                continue
-            component[x] = comp
-            stack.extend(j for j in range(n) if merged[x][j] and component[j] == -1)
-        comp += 1
-    for i in range(n):
-        for j in range(n):
-            if (component[i] == component[j]) != merged[i][j]:
-                return False, None
-    part = Partition(space, first_occurrence_relabel(component))
-    if content_bruteforce(part).atoms != atom_set.atoms:
-        return False, None
-    return True, part
-
-
-def gacs_korner(x: Partition, y: Partition) -> tuple[Ideal, Partition]:
-    """Common-information ideal and the partition realising it.
-
-    Constructed as the content of the finest common coarsening; the
-    result is checked to sit inside the mutual-information ideal with
-    pair generators only.
-    """
-    coarse = common_coarsening(x, y)
-    ideal = content(coarse)
-    mutual = coinformation_content([x, y])
-    for g in ideal.generators:
-        if degree(g) != 2:
-            raise AssertionError("common-information generators must be pairs")
-        if not mutual.contains(g):
-            raise AssertionError(
-                "common-information ideal escaped the mutual-information ideal"
-            )
-    return ideal, coarse
-
-
 def ideal_to_variables(ideal: Ideal) -> list[Partition]:
     """Variables whose co-information content is exactly the given ideal.
 
@@ -256,12 +140,14 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
     gens = ideal.sorted_generators()
     if any(degree(g) < 2 for g in gens):
         raise ValueError("variable construction needs generators of degree >= 2")
-    total = 1
+    builds_per_combination = max(len(gens) - 1, 1)
+    combinations = 1
     for g in gens:
-        total *= (1 << degree(g)) - 2
-        if total > VARIABLE_CONSTRUCTION_CAP:
+        combinations *= (1 << degree(g)) - 2
+        if combinations * builds_per_combination > VARIABLE_CONSTRUCTION_CAP:
             raise CapacityError(
-                "variable construction would exceed the combination cap"
+                "variable construction would exceed its cap of "
+                f"{VARIABLE_CONSTRUCTION_CAP} partition builds"
             )
     per_generator: list[list[Partition]] = []
     for g in gens:
@@ -287,17 +173,6 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
             joint = common_refinement(joint, p)
         combined.setdefault(joint.block_of, joint)
     return [combined[k] for k in sorted(combined)]
-
-
-def extract_atom(space: OutcomeSpace, atom: int) -> tuple[Ideal, Ideal]:
-    """Ideals I and C with I - C = {atom}, so mu({atom}) = mu(I) - mu(C)."""
-    if degree(atom) < 2:
-        raise ValueError("only atoms of degree >= 2 can be extracted")
-    inner = Ideal.generated_by(space, [atom])
-    above = Ideal.generated_by(
-        space, [atom | 1 << i for i in range(space.n) if not atom >> i & 1]
-    )
-    return inner, above
 
 
 def count_expressions(n: int) -> int:

@@ -121,11 +121,6 @@ class Distribution:
         """Total weight of an atom's members."""
         return sum(self.weights[i] for i in atom_bits(atom))
 
-    def replace_weight(self, index: int, value: float) -> "Distribution":
-        w = list(self.weights)
-        w[index] = value
-        return Distribution(self.space, tuple(w))
-
 
 @dataclass(frozen=True)
 class AtomSet:
@@ -285,11 +280,6 @@ def enumerate_complex(space: OutcomeSpace) -> AtomSet:
         m for m in range(1, space.full_mask + 1) if m.bit_count() >= 2
     )
     return AtomSet(space, atoms)
-
-
-def restrict(atom_set: AtomSet, within: int) -> AtomSet:
-    """Atoms of the set fully contained in the given outcome subset."""
-    return AtomSet(atom_set.space, frozenset(a for a in atom_set.atoms if a & ~within == 0))
 
 
 def common_refinement(a: Partition, b: Partition) -> Partition:

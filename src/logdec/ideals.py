@@ -93,12 +93,6 @@ class Ideal:
         products = frozenset(g | h for g in self.generators for h in other.generators)
         return Ideal(self.space, products)
 
-    def difference(self, other: "Ideal") -> AtomSet:
-        """Atoms in self but not other; in general not an ideal."""
-        self._check(other)
-        kept = frozenset(a for a in self.enumerate().atoms if not other.contains(a))
-        return AtomSet(self.space, kept)
-
     def enumerate(self) -> AtomSet:
         """All atoms of degree >= 2 in the denoted upper-set."""
         full = self.space.full_mask

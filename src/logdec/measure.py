@@ -8,9 +8,11 @@ content of a variable it recovers the Shannon entropy, which this module
 also computes directly as the independent oracle.
 
 Evaluation conventions: base-2 logarithms, double precision, subsets in
-ascending bit-pattern order, and comparison tolerance 1e-9 with a 1e-12
-margin on strict inequalities.  Atoms with a zero-weight member measure
-exactly 0 (the continuous extension).
+ascending bit-pattern order.  Atoms with a zero-weight member measure
+exactly 0 (the continuous extension).  The one comparison tolerance is
+EQ_TOL = 1e-9: a measure within EQ_TOL of 0 is taken to have no sign
+that double precision resolves, so sign surveys count it as zero and
+single_generator_sign refuses to name one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
 from .ideals import Ideal
 
 EQ_TOL = 1e-9
-STRICT_MARGIN = 1e-12
 
 _TABLE_MAX_N = 20
 
@@ -90,31 +91,6 @@ def merge_loss(dist: Distribution, atom: int) -> float:
         first_occurrence_relabel(first if atom >> i & 1 else i for i in range(space.n)),
     )
     return entropy(dist, Partition.discrete(space)) - entropy(dist, merged)
-
-
-def finite_difference_derivative(
-    dist: Distribution, atom: int, member: int, order: int, step: float = 1e-4
-) -> float:
-    """Central finite-difference estimate of d^m mu / d w_member^m.
-
-    Order 0 returns mu itself.  The member must belong to the atom and
-    carry weight larger than the step.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    if not atom >> member & 1:
-        raise ValueError("derivative member must belong to the atom")
-    if order == 0:
-        return mu_atom(dist, atom)
-    w = dist.weights[member]
-    if step <= 0.0 or w <= step:
-        raise ValueError("step underflow: member weight must exceed the step size")
-    hi = mu_atom(dist.replace_weight(member, w + step), atom)
-    lo = mu_atom(dist.replace_weight(member, w - step), atom)
-    if order == 1:
-        return (hi - lo) / (2.0 * step)
-    mid = mu_atom(dist, atom)
-    return (hi - 2.0 * mid + lo) / (step * step)
 
 
 # ---------------------------------------------------------------------------

@@ -150,25 +150,26 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
     return ParityClass(UNDETERMINED)
 
 
-def certificate_value(dist: Distribution, certificate) -> float:
-    """Signed sum of leaf measures; equals the ideal's measure identically."""
-    return sum(
-        coeff * mu_ideal(dist, Ideal.generated_by(dist.space, [mask]))
-        for mask, coeff in certificate
-    )
-
-
 def single_generator_sign(dist: Distribution, generator: int) -> int:
     """Sign of the measure of a one-generator ideal; always (-1)**degree.
 
-    Requires every member of the generator to carry positive weight; a
-    disagreement with the predicted sign is raised, not returned.
+    Raises ValueError when a member of the generator has zero weight, or
+    when the computed measure is within EQ_TOL of 0: with skewed weights
+    the true measure can be smaller than the cancellation error of the
+    alternating sum, so double precision cannot resolve its sign.  Raises
+    AssertionError when the measure lies beyond EQ_TOL on the wrong side,
+    which would falsify the sign law.
     """
     if any(dist.weights[i] == 0.0 for i in atom_bits(generator)):
         raise ValueError("sign is undefined when a member has zero weight")
     value = mu_ideal(dist, Ideal.generated_by(dist.space, [generator]))
+    if abs(value) <= EQ_TOL:
+        raise ValueError(
+            f"sign cannot be resolved in double precision: |mu| = {abs(value):.3g} "
+            f"is within the tolerance {EQ_TOL:g}"
+        )
     expected = -1 if degree(generator) & 1 else 1
-    if value * expected <= 0.0:
+    if value * expected < -EQ_TOL:
         raise AssertionError(
             f"single-generator sign rule violated: mu = {value!r} for degree "
             f"{degree(generator)}"

@@ -1,0 +1,32 @@
+"""The public surface: what `logdec` exports, and the README that shows it."""
+
+import re
+import types
+from pathlib import Path
+
+import logdec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_all_has_no_duplicates_and_every_entry_resolves():
+    assert len(logdec.__all__) == len(set(logdec.__all__))
+    for name in logdec.__all__:
+        assert hasattr(logdec, name), name
+
+
+def test_all_is_exactly_the_public_namespace():
+    # a name deleted from a module but left in __all__, or imported into
+    # the package and never exported, shows up here
+    public = {
+        name
+        for name, value in vars(logdec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(logdec.__all__) == public
+
+
+def test_readme_quick_tour_runs_as_written():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

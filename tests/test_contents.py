@@ -1,27 +1,23 @@
 import itertools
+import time
 
 import pytest
 
 from logdec import (
-    AtomSet,
     CapacityError,
     Distribution,
     Ideal,
     OutcomeSpace,
     Partition,
-    SetExpression,
     all_partitions,
     coinformation_content,
+    common_coarsening,
     coinformation_numeric,
     content,
     content_bruteforce,
     count_expressions,
     entropy,
-    evaluate_expression,
-    extract_atom,
-    gacs_korner,
     ideal_to_variables,
-    is_representable,
     mu_atom,
     mu_ideal,
     mu_set,
@@ -71,6 +67,16 @@ class TestContent:
             for part in all_partitions(sp):
                 assert content(part).enumerate().atoms == content_bruteforce(part).atoms
 
+    def test_content_determines_the_partition(self, rng):
+        equal = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            sp = OutcomeSpace(n)
+            p, q = random_partition(rng, sp), random_partition(rng, sp)
+            equal += p == q
+            assert (content(p) == content(q)) == (p == q)
+        assert equal >= 10
+
     def test_brute_force_capacity(self):
         sp = OutcomeSpace(17)
         with pytest.raises(CapacityError):
@@ -80,70 +86,29 @@ class TestContent:
 class TestExpressions:
     def test_triangle_intersection_is_mutual_information(self):
         sp, x, y = triangle_system()
-        expr = SetExpression.var("X") & SetExpression.var("Y")
-        got = evaluate_expression(expr, {"X": x, "Y": y})
+        got = content(x).intersection(content(y)).enumerate()
         assert got.atoms == {A("12"), A("123")}
         dist = Distribution.uniform(sp)
         mi = entropy(dist, x) + entropy(dist, y) - entropy(dist, Partition.discrete(sp))
         assert mu_set(dist, got) == pytest.approx(mi, abs=1e-9)
 
-    def test_self_difference_is_empty(self):
-        sp, x, _ = triangle_system()
-        expr = SetExpression.var("X") - SetExpression.var("X")
-        assert evaluate_expression(expr, {"X": x}).atoms == set()
-
     def test_or_gate_triple_region(self):
         sp, x, y, z = or_gate_system()
-        expr = SetExpression.var("X") & SetExpression.var("Y") & SetExpression.var("Z")
-        got = evaluate_expression(expr, {"X": x, "Y": y, "Z": z})
-        assert got.atoms == Ideal.generated_by(sp, [A("14"), A("123")]).enumerate().atoms
-
-    def test_unbound_leaf_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_expression(SetExpression.var("X"), {})
+        got = content(x).intersection(content(y)).intersection(content(z))
+        assert got == Ideal.generated_by(sp, [A("14"), A("123")])
 
     def test_difference_region_measures_conditional_entropy(self, rng):
+        # C(X) - C(Y) is not an ideal, but C(X) u C(Y) minus C(Y) measures it
         from logdec import common_refinement
 
-        expr = SetExpression.var("X") - SetExpression.var("Y")
         for _ in range(15):
             n = int(rng.integers(2, 7))
             sp = OutcomeSpace(n)
             x, y = random_partition(rng, sp), random_partition(rng, sp)
             dist = random_distribution(rng, sp)
-            got = mu_set(dist, evaluate_expression(expr, {"X": x, "Y": y}))
+            got = mu_ideal(dist, content(x).union(content(y))) - mu_ideal(dist, content(y))
             conditional = entropy(dist, common_refinement(x, y)) - entropy(dist, y)
             assert got == pytest.approx(conditional, abs=1e-9)
-
-    def test_pair_atoms_determine_every_expression(self, rng):
-        # rebuild each variable from its content's pair generators alone,
-        # then check random expression trees evaluate identically
-        for _ in range(10):
-            n = int(rng.integers(3, 7))
-            sp = OutcomeSpace(n)
-            bindings = {name: random_partition(rng, sp) for name in "XYZ"}
-            rebuilt = {}
-            for name, part in bindings.items():
-                ok, witness = is_representable(content_bruteforce(part))
-                assert ok and witness == part
-                rebuilt[name] = witness
-            expr = self._random_expr(rng, list(bindings))
-            assert (
-                evaluate_expression(expr, bindings).atoms
-                == evaluate_expression(expr, rebuilt).atoms
-            )
-
-    @staticmethod
-    def _random_expr(rng, names, depth=3):
-        if depth == 0 or rng.random() < 0.3:
-            return SetExpression.var(names[int(rng.integers(len(names)))])
-        op = [lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a - b][
-            int(rng.integers(3))
-        ]
-        return op(
-            TestExpressions._random_expr(rng, names, depth - 1),
-            TestExpressions._random_expr(rng, names, depth - 1),
-        )
 
 
 class TestCoinformation:
@@ -212,57 +177,61 @@ class TestCoinformation:
                 assert all(d <= m for d in profile)
 
 
+def partitions_with_content(atoms):
+    """Every partition of the space whose content enumerates to `atoms`."""
+    return [
+        p for p in all_partitions(atoms.space) if content(p).enumerate().atoms == atoms.atoms
+    ]
+
+
 class TestRepresentability:
     def test_pair_ideal_is_not_a_partition(self):
         sp = OutcomeSpace(3)
         w = Ideal.generated_by(sp, [A("12")]).enumerate()
-        ok, witness = is_representable(w)
-        assert not ok and witness is None
+        assert partitions_with_content(w) == []
 
     def test_content_round_trips(self, rng):
         for _ in range(20):
-            n = int(rng.integers(2, 8))
+            n = int(rng.integers(2, 7))
             sp = OutcomeSpace(n)
             part = random_partition(rng, sp)
-            ok, witness = is_representable(content(part).enumerate())
-            assert ok and witness == part
+            assert partitions_with_content(content(part).enumerate()) == [part]
 
     def test_empty_set_is_the_constant_variable(self):
         sp = OutcomeSpace(3)
-        ok, witness = is_representable(AtomSet(sp, frozenset()))
-        assert ok and witness == Partition.single_block(sp)
+        empty = Ideal.empty(sp).enumerate()
+        assert partitions_with_content(empty) == [Partition.single_block(sp)]
 
 
 class TestGacsKorner:
+    # the Gacs-Korner common part of X and Y is their common coarsening
     def test_self_common_information_is_the_variable(self):
         _, x, _ = triangle_system()
-        ideal, part = gacs_korner(x, x)
-        assert part == x and ideal == content(x)
+        part = common_coarsening(x, x)
+        assert part == x and content(part) == content(x)
 
     def test_triangle_pair_has_no_common_part(self):
         _, x, y = triangle_system()
-        ideal, part = gacs_korner(x, y)
-        assert ideal.is_empty
+        part = common_coarsening(x, y)
+        assert content(part).is_empty
         assert part == Partition.single_block(x.space)
 
     def test_nested_partitions_share_the_coarser(self):
         sp = OutcomeSpace(4)
         x = Partition.from_blocks(sp, [[0, 1], [2, 3]])
         y = Partition.from_blocks(sp, [[0, 1], [2], [3]])
-        ideal, part = gacs_korner(x, y)
-        assert part == x and ideal == content(x)
+        part = common_coarsening(x, y)
+        assert part == x and content(part) == content(x)
 
     def test_output_is_representable_inside_mutual_information(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))
             sp = OutcomeSpace(n)
             x, y = random_partition(rng, sp), random_partition(rng, sp)
-            ideal, part = gacs_korner(x, y)
-            ok, witness = is_representable(content_bruteforce(part))
-            assert ok and witness == part
+            common = content(common_coarsening(x, y))
             mutual = coinformation_content([x, y])
-            assert all(mutual.contains(g) for g in ideal.generators)
-            assert all(d == 2 for d in ideal.degree_profile())
+            assert all(mutual.contains(g) for g in common.generators)
+            assert all(d == 2 for d in common.degree_profile())
 
 
 class TestIdealToVariables:
@@ -301,26 +270,50 @@ class TestIdealToVariables:
         with pytest.raises(ValueError):
             ideal_to_variables(Ideal.empty(OutcomeSpace(3)))
 
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            # one degree-18 generator: 2**18 - 2 = 262 142 two-block partitions
+            [(1 << 18) - 1],
+            # 14 pairs: 2**14 combinations, 13 refinements each, 212 992 builds
+            [0b11 << i for i in range(14)],
+        ],
+    )
+    def test_just_over_the_cap_fails_fast(self, gens):
+        ideal = Ideal.generated_by(OutcomeSpace(24), gens)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            ideal_to_variables(ideal)
+        assert time.perf_counter() - start < 1.0
+
+
+def atom_bounds(space, atom):
+    """The ideal <atom> and the part of it strictly above `atom`."""
+    inner = Ideal.generated_by(space, [atom])
+    free = space.full_mask & ~atom
+    above = Ideal.generated_by(space, [atom | (1 << i) for i in range(space.n) if free >> i & 1])
+    return inner, above
+
 
 class TestAtomExtraction:
     def test_triple_inside_four(self):
         sp = OutcomeSpace(4)
-        inner, above = extract_atom(sp, A("123"))
+        inner, above = atom_bounds(sp, A("123"))
         assert inner == Ideal.generated_by(sp, [A("123")])
         assert above == Ideal.generated_by(sp, [A("1234")])
-        assert inner.difference(above).atoms == {A("123")}
+        assert inner.enumerate().atoms - above.enumerate().atoms == {A("123")}
 
     def test_top_atom_has_nothing_above(self):
         sp = OutcomeSpace(4)
-        inner, above = extract_atom(sp, A("1234"))
+        inner, above = atom_bounds(sp, A("1234"))
         assert above.is_empty
-        assert inner.difference(above).atoms == {A("1234")}
+        assert inner.enumerate().atoms - above.enumerate().atoms == {A("1234")}
 
     def test_pair_inside_three(self):
         sp = OutcomeSpace(3)
-        inner, above = extract_atom(sp, A("12"))
+        inner, above = atom_bounds(sp, A("12"))
         assert above == Ideal.generated_by(sp, [A("123")])
-        assert inner.difference(above).atoms == {A("12")}
+        assert inner.enumerate().atoms - above.enumerate().atoms == {A("12")}
 
     def test_measure_difference_isolates_the_atom(self, rng):
         for _ in range(30):
@@ -330,7 +323,7 @@ class TestAtomExtraction:
             d = int(rng.integers(2, n + 1))
             members = rng.choice(n, size=d, replace=False)
             atom = int(sum(1 << int(i) for i in members))
-            inner, above = extract_atom(sp, atom)
+            inner, above = atom_bounds(sp, atom)
             assert mu_ideal(dist, inner) - mu_ideal(dist, above) == pytest.approx(
                 mu_atom(dist, atom), abs=1e-9
             )

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdec import (
-    AtomSet,
     CapacityError,
     Distribution,
     OutcomeSpace,
@@ -12,10 +11,9 @@ from logdec import (
     common_coarsening,
     common_refinement,
     enumerate_complex,
-    restrict,
 )
 
-from conftest import A, random_partition
+from conftest import random_partition
 
 
 class TestOutcomeSpace:
@@ -86,30 +84,6 @@ class TestEnumerateComplex:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_counting_law(self, n):
         assert len(enumerate_complex(OutcomeSpace(n))) == 2**n - n - 1
-
-
-class TestRestrict:
-    def test_keeps_only_contained_atoms(self):
-        sp = OutcomeSpace(3)
-        s = AtomSet(sp, frozenset({A("12"), A("13"), A("123")}))
-        assert restrict(s, A("12")).atoms == {A("12")}
-
-    def test_complex_restricted_to_three(self):
-        sp = OutcomeSpace(4)
-        got = restrict(enumerate_complex(sp), A("123"))
-        assert got.atoms == {A("12"), A("13"), A("23"), A("123")}
-
-    def test_full_space_is_identity(self):
-        sp = OutcomeSpace(4)
-        full = enumerate_complex(sp)
-        assert restrict(full, sp.full_mask).atoms == full.atoms
-
-    @given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_composes_via_intersection(self, s, t):
-        sp = OutcomeSpace(6)
-        full = enumerate_complex(sp)
-        assert restrict(restrict(full, s), t).atoms == restrict(full, s & t).atoms
 
 
 class TestPartition:

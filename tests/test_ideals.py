@@ -98,10 +98,14 @@ class TestAlgebra:
         assert got == ideal(4, "123", "124", "134")
 
     def test_difference_examples(self):
-        assert ideal(4, "123").difference(ideal(4, "1234")).atoms == {A("123")}
+        # set difference of enumerations; the result is not itself an ideal
+        def minus(a, b):
+            return a.enumerate().atoms - b.enumerate().atoms
+
+        assert minus(ideal(4, "123"), ideal(4, "1234")) == {A("123")}
         i = ideal(4, "12", "23")
-        assert i.difference(i).atoms == set()
-        assert ideal(3, "12").difference(ideal(3, "13")).atoms == {A("12")}
+        assert minus(i, i) == set()
+        assert minus(ideal(3, "12"), ideal(3, "13")) == {A("12")}
 
     def test_degree_profiles(self):
         assert ideal(4, "14", "123").degree_profile() == (2, 3)

@@ -16,7 +16,6 @@ from logdec import (
     Partition,
     content,
     entropy,
-    finite_difference_derivative,
     merge_loss,
     mu_atom,
     mu_ideal,
@@ -128,46 +127,6 @@ class TestMergeLoss:
                     if t & ~s == 0 and t.bit_count() >= 2
                 )
                 assert merge_loss(dist, s) == pytest.approx(total, abs=1e-12)
-
-
-class TestFiniteDifferences:
-    def test_order_zero_is_the_measure_with_degree_signs(self):
-        sp = OutcomeSpace(4)
-        d = Distribution(sp, (0.1, 0.2, 0.3, 0.4))
-        assert finite_difference_derivative(d, A("12"), 0, 0) == mu_atom(d, A("12"))
-        assert finite_difference_derivative(d, A("12"), 0, 0) > 0
-        assert finite_difference_derivative(d, A("123"), 0, 0) < 0
-
-    def test_slope_matches_analytic_expansion(self):
-        # d mu / d p1 for a pair atom is log2((p1+p2)/p1)
-        d = Distribution(OutcomeSpace(2), (0.4, 0.6))
-        slope = finite_difference_derivative(d, A("12"), 0, 1)
-        assert slope == pytest.approx(math.log2(2.5), abs=1e-6)
-
-    def test_slope_carries_the_atom_sign(self, rng):
-        # |mu| grows in any member weight, so the slope sign matches mu's
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            sp = OutcomeSpace(n)
-            dist = random_distribution(rng, sp, floor=0.05)
-            atom = sp.full_mask
-            slope = finite_difference_derivative(dist, atom, 0, 1)
-            sign = -1.0 if n % 2 else 1.0
-            assert sign * slope > 0
-
-    def test_pair_curvature_is_negative(self):
-        d = Distribution(OutcomeSpace(2), (0.4, 0.6))
-        assert finite_difference_derivative(d, A("12"), 0, 2) < 0
-
-    def test_step_underflow_rejected(self):
-        d = Distribution(OutcomeSpace(2), (1e-6, 0.6))
-        with pytest.raises(ValueError):
-            finite_difference_derivative(d, A("12"), 0, 1, step=1e-4)
-
-    def test_member_must_belong_to_atom(self):
-        d = Distribution(OutcomeSpace(3), (0.2, 0.3, 0.5))
-        with pytest.raises(ValueError):
-            finite_difference_derivative(d, A("12"), 2, 1)
 
 
 class TestSignAndLimitLaws:

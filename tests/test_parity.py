@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdec import (
     Distribution,
     Ideal,
     OutcomeSpace,
-    certificate_value,
+    atom_bits,
     classify_parity,
     mu_ideal,
     named_gate,
@@ -19,8 +22,9 @@ from logdec.parity import (
     STRONGLY_MIXED,
     UNDETERMINED,
 )
+from logdec.measure import EQ_TOL
 
-from conftest import A, random_distribution
+from conftest import A, random_atom, random_distribution
 
 
 def ideal(n, *atoms):
@@ -29,6 +33,33 @@ def ideal(n, *atoms):
 
 XOR_IDEAL = ideal(4, "123", "124", "134", "234")
 OR_IDEAL = ideal(4, "14", "123")
+
+
+def _certificate_value(dist, certificate):
+    """Signed sum of leaf measures; equals the ideal's measure identically."""
+    return sum(
+        coeff * mu_ideal(dist, Ideal.generated_by(dist.space, [mask]))
+        for mask, coeff in certificate
+    )
+
+
+def _single_generator_mu_60_digits(weights, generator):
+    """mu(<g>) at 60 digits, from the closed form
+    sum over subsets S of g of (-1)**|g - S| * f(m(S) + m(outside g)),
+    with f(x) = x*log2(x) and m the mass.  It sums 2**|g| terms and never
+    touches the measure kernel or the atoms above g.
+    """
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(x) for x in weights]
+        members = atom_bits(generator)
+        outside = mpmath.fsum(w[i] for i in range(len(w)) if not generator >> i & 1)
+        total = mpmath.mpf(0)
+        for sub in range(1 << len(members)):
+            m = outside + mpmath.fsum(w[i] for k, i in enumerate(members) if sub >> k & 1)
+            if m > 0:
+                term = m * mpmath.log(m, 2)
+                total += -term if (len(members) - bin(sub).count("1")) % 2 else term
+        return total
 
 
 class TestClassification:
@@ -110,7 +141,7 @@ class TestCertificates:
         assert pc.certificate is not None
         for _ in range(40):
             dist = random_distribution(rng, the_ideal.space)
-            assert certificate_value(dist, pc.certificate) == pytest.approx(
+            assert _certificate_value(dist, pc.certificate) == pytest.approx(
                 mu_ideal(dist, the_ideal), abs=1e-9
             )
 
@@ -161,6 +192,34 @@ class TestSingleGeneratorSign:
         dist = Distribution(sp, (0.0, 0.5, 0.5))
         with pytest.raises(ValueError):
             single_generator_sign(dist, A("12"))
+
+    def test_sign_below_float_resolution_is_refused(self):
+        # true mu(<12>) is about w1 * w2 / ln 2 = 1.4e-12, under EQ_TOL
+        dist = Distribution(OutcomeSpace(4), (1e-6, 1e-6, 0.5, 0.5 - 2e-6))
+        with pytest.raises(ValueError, match="cannot be resolved"):
+            single_generator_sign(dist, A("12"))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.sampled_from([0.2, 0.05, 0.01]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skewed_weights_get_the_right_sign_or_a_refusal(self, seed, n, alpha):
+        # Dirichlet(alpha) with small alpha piles the mass on a few outcomes,
+        # so many generators have a true measure below the float error
+        rng = np.random.default_rng(seed)
+        sp = OutcomeSpace(n)
+        dist = Distribution(sp, tuple(rng.dirichlet(np.full(n, alpha))))
+        g = random_atom(rng, sp)
+        exact = _single_generator_mu_60_digits(dist.weights, g)
+        try:
+            sign = single_generator_sign(dist, g)
+        except ValueError:
+            assert abs(exact) <= 2 * EQ_TOL
+        else:
+            assert sign == (-1) ** g.bit_count()
+            assert mpmath.sign(exact) == sign
 
 
 class TestWitnesses:
