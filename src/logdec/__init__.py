@@ -11,10 +11,12 @@ systems, and an exhaustive census of deterministic two-input gates.
 
 import os
 
-# logdec's only BLAS call is a small matrix product, where a second
-# OpenBLAS thread only spins on another core.  OpenBLAS reads this
-# variable once, when numpy loads it, so it is set for that import alone
-# (unless the user chose a value) and the environment is left as it was.
+# logdec makes no BLAS call, but OpenBLAS starts its thread pool when
+# numpy loads, and a second thread costs start-up time (`logdec
+# --version`: 0.095 s with one thread, 0.155 s with two, on 2 cores).
+# OpenBLAS reads this variable once, at that load, so it is set for that
+# import alone (unless the user chose a value) and the environment is left
+# as it was.
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

@@ -9,13 +9,16 @@ with numbers at 12 significant digits; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 parse/validation error, 3 capacity, 4 failed
 precondition (for example witness construction on a non-mixed system),
-5 internal error (a violated internal invariant, reported on one line).
+5 internal error (a violated internal invariant, reported on one line),
+141 stdout closed before the report was written (as a shell reports a
+process ended by SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from dataclasses import dataclass
@@ -79,6 +82,8 @@ def parse_system(text: str) -> SystemFile:
             raise ParseError('"p" must be an array of numbers')
         if len(p) != len(outcomes):
             raise ParseError('"p" must have one weight per outcome')
+        if not all(abs(x) <= sys.float_info.max for x in p):
+            raise ParseError("weights must be finite numbers")
         if any(x < 0 for x in p):
             raise ParseError("weights must be nonnegative")
         p = tuple(float(x) for x in p)
@@ -167,6 +172,8 @@ def _require_distribution(system: System) -> Distribution:
         raise PreconditionError(
             "this command needs a distribution: add a \"p\" array to the system file"
         )
+    if not system.dist.normalized:
+        raise ParseError("entropy requires a normalized distribution")
     return system.dist
 
 
@@ -452,6 +459,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args, argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`| head`); devnull takes the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

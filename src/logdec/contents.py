@@ -100,29 +100,19 @@ def check_variable_capacity(count: int) -> None:
         )
 
 
-def inclusion_exclusion_terms(parts: list[Partition]) -> list[tuple[float, Partition]]:
-    """(sign, common refinement) of every nonempty subfamily, in bit-pattern
-    order; the sign is +1 for odd sizes and -1 for even ones."""
+def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
+    """Alternating inclusion-exclusion of joint entropies: each nonempty
+    subfamily, in bit-pattern order, adds the entropy of its common
+    refinement, + for odd sizes and - for even ones.  This route never
+    touches the measure and serves as its oracle."""
     if not parts:
         raise ValueError("co-information needs at least one variable")
     check_variable_capacity(len(parts))
-    terms = []
+    total = 0.0
     for sub in range(1, 1 << len(parts)):
         chosen = [p for i, p in enumerate(parts) if sub >> i & 1]
         sign = 1.0 if len(chosen) % 2 == 1 else -1.0
-        terms.append((sign, functools.reduce(common_refinement, chosen)))
-    return terms
-
-
-def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
-    """Alternating inclusion-exclusion of joint entropies.
-
-    Joint variables are common refinements of the chosen partitions; this
-    route never touches the measure and serves as its oracle.
-    """
-    total = 0.0
-    for sign, joint in inclusion_exclusion_terms(parts):
-        total += sign * entropy(dist, joint)
+        total += sign * entropy(dist, functools.reduce(common_refinement, chosen))
     return total
 
 

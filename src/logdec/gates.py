@@ -24,9 +24,8 @@ from .core import (
     first_occurrence_relabel,
     restricted_growth_strings,
 )
-from .contents import coinformation_content, inclusion_exclusion_terms
+from .contents import coinformation_content
 from .ideals import Ideal
-from .measure import xlog2x
 from .parity import (
     CERTIFIED_ODD,
     STRONGLY_MIXED,
@@ -149,24 +148,6 @@ def canonicalize(gate: GateSystem) -> tuple[int, ...]:
     return min(first_occurrence_relabel(gate.table[p] for p in perm) for perm in perms)
 
 
-def _coinformation_value_fn(parts: list[Partition]):
-    """Vectorised entropy inclusion-exclusion over sample weight rows."""
-    n = parts[0].space.n
-    terms = []
-    for sign, joint in inclusion_exclusion_terms(parts):
-        onehot = np.zeros((n, joint.block_count), dtype=np.float64)
-        onehot[np.arange(n), joint.block_of] = 1.0
-        terms.append((sign, onehot))
-
-    def value(weight_rows: np.ndarray) -> np.ndarray:
-        total = np.zeros(weight_rows.shape[0], dtype=np.float64)
-        for sign, onehot in terms:
-            total -= sign * np.sum(xlog2x(weight_rows @ onehot), axis=1)
-        return total
-
-    return value
-
-
 def classify_gate(
     gate: GateSystem,
     samples: int = 1000,
@@ -178,17 +159,11 @@ def classify_gate(
         raise CapacityError(
             f"gate classification is capped at {CLASSIFY_MAX_CELLS} joint outcomes"
         )
-    parts = [gate.x, gate.y, gate.z]
-    ideal = coinformation_content(parts)
-    survey = sign_survey(ideal, samples, seed, value_fn=_coinformation_value_fn(parts))
+    ideal = coinformation_content([gate.x, gate.y, gate.z])
+    survey = sign_survey(ideal, samples, seed)
     parity_class: ParityClass | None = None
     witness_positive = witness_negative = None
     if ideal.is_empty:
-        if survey.positive or survey.negative:
-            raise RuntimeError(
-                "empty co-information ideal with a nonzero sample; structural "
-                "and numeric routes disagree"
-            )
         verdict = ZERO_COINFORMATION
     else:
         parity_class = classify_parity(ideal)

@@ -5,7 +5,8 @@ member subsets: the Moebius inversion of the entropy lost when the
 atom's outcomes are merged into one event.  Its sign on an atom of
 degree d with positive member weights is (-1)**d.  Summed over the full
 content of a variable it recovers the Shannon entropy, which this module
-also computes directly as the independent oracle.
+also computes directly as the independent oracle.  Ideals are measured
+through one integer expansion over subset masses (see Bulk evaluation).
 
 Evaluation conventions: base-2 logarithms, double precision, subsets in
 ascending bit-pattern order.  Atoms with a zero-weight member measure
@@ -94,15 +95,16 @@ def merge_loss(dist: Distribution, atom: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bulk evaluation over the whole subset lattice.
+# Bulk evaluation.
 #
-# For n <= 20 the measure of every atom is computed at once with two DP
-# sweeps over the 2**n masks: subset masses, x*log2(x), then the signed
-# Moebius transform, for many weight rows at once; mu_table and mu_ideal
-# are its one-row case.  This is what makes ideal measures, surveys and
-# witness searches cheap; per-atom values agree with mu_atom to float
-# precision and the equivalence is pinned by tests.  Above the cap the
-# kernel raises CapacityError before any work.
+# Over an ideal I the atoms' alternating sums collect into
+#     mu(I) = sum over U of c_I(U) * xlog2x(m(U)),  m(U) the weight of U,
+#     c_I(U) = sum over T in I with T >= U of (-1)**|T - U|.
+# The integer vector c_I comes from one superset-Moebius sweep of the
+# membership table; only its nonzero entries are kept, so a weight row
+# costs O(support x n).  Every ideal measure goes through it.  mu_table
+# lists every atom: subset masses, x*log2(x), subset Moebius transform.
+# Both build a 2**n table: above 20 outcomes they raise CapacityError.
 # ---------------------------------------------------------------------------
 
 
@@ -126,60 +128,71 @@ def _below_degree_two(n: int) -> list[int]:
     return [0] + [1 << k for k in range(n)]
 
 
-def mu_table_batch(weight_rows: np.ndarray) -> np.ndarray:
-    """mu of every mask for many weight vectors at once; rows index samples."""
-    W = np.asarray(weight_rows, dtype=np.float64)
-    s, n = W.shape
+def mu_table(weights) -> np.ndarray:
+    """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.shape[0]
     check_table_capacity(n)
-    m = np.zeros((s, 1 << n), dtype=np.float64)
+    m = np.zeros(1 << n, dtype=np.float64)
     for k in range(n):
         step = 1 << k
-        np.add(m[:, :step], W[:, k : k + 1], out=m[:, step : 2 * step])
+        np.add(m[:step], w[k], out=m[step : 2 * step])
     t = xlog2x(m)
     for b in range(n):
         step = 1 << b
-        v = t.reshape(s, -1, 2 * step)
-        v[:, :, step:] -= v[:, :, :step]
-    t[:, _below_degree_two(n)] = 0.0
+        v = t.reshape(-1, 2 * step)
+        v[:, step:] -= v[:, :step]
+    t[_below_degree_two(n)] = 0.0
     return t
 
 
-def mu_table(weights) -> np.ndarray:
-    """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
-    return mu_table_batch(np.asarray(weights, dtype=np.float64)[None, :])[0]
-
-
-def ideal_member_flags(ideal: Ideal) -> np.ndarray:
-    """Boolean table over all masks: membership in the ideal, degree >= 2 only."""
+def _ideal_expansion(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
+    """The masks U where c_I(U) is nonzero, and those integer coefficients:
+    the superset-Moebius transform of the membership table, which is the
+    upward closure of the generators without the degrees below 2."""
     n = ideal.space.n
+    check_table_capacity(n)
     flags = np.zeros(1 << n, dtype=bool)
-    for g in ideal.generators:
-        flags[g] = True
+    flags[list(ideal.generators)] = True
     for b in range(n):
         step = 1 << b
         v = flags.reshape(-1, 2 * step)
         v[:, step:] |= v[:, :step]
     flags[_below_degree_two(n)] = False
-    return flags
+    c = flags.astype(np.int32)
+    for b in range(n):
+        step = 1 << b
+        v = c.reshape(-1, 2 * step)
+        v[:, :step] -= v[:, step:]
+    support = np.flatnonzero(c)
+    return support, c[support]
 
 
 def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
     """Measure of one ideal under many weight vectors at once.
 
-    Each row is summed on its own, so a row's value does not depend on
-    the rows batched with it.
+    Each row's masses are accumulated and summed on its own, so a row's
+    value does not depend on its batch; rows go in chunks of at most
+    2**20 masses, the size of the largest table.
     """
-    W = np.asarray(weight_rows, dtype=np.float64)
+    n = ideal.space.n
+    W = np.asarray(weight_rows, dtype=np.float64).reshape(-1, n)
     if ideal.is_empty:
         return np.zeros(W.shape[0], dtype=np.float64)
-    flags = ideal_member_flags(ideal)
-    return np.array([row[flags].sum() for row in mu_table_batch(W)], dtype=np.float64)
+    support, coeffs = _ideal_expansion(ideal)
+    members = [(support >> i & 1).astype(bool) for i in range(n)]
+    chunk = (1 << _TABLE_MAX_N) // support.size
+    values = []
+    for rows in np.split(W, range(chunk, W.shape[0], chunk)):
+        m = np.zeros((rows.shape[0], support.size), dtype=np.float64)
+        for i, member in enumerate(members):
+            m[:, member] += rows[:, i : i + 1]
+        values.append((xlog2x(m) * coeffs).sum(axis=1))
+    return np.concatenate(values)
 
 
 def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
     """Measure of an ideal: the sum of mu over its denoted atoms."""
-    if ideal.is_empty:
-        return 0.0
     if dist.space != ideal.space:
         raise ValueError("distribution and ideal live on different spaces")
     return float(mu_ideal_batch([dist.weights], ideal)[0])

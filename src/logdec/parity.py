@@ -13,7 +13,7 @@ outcome and surveys still characterise such ideals empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,41 +196,29 @@ def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]
 def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
     space = ideal.space
     members = atom_bits(generator)
+    dists = []
     for eps in WITNESS_EPSILONS:
         weights = [eps] * space.n
         for i in members:
             weights[i] = 1.0 / len(members)
         total = sum(weights)
-        dist = Distribution(space, tuple(w / total for w in weights))
-        value = mu_ideal(dist, ideal)
+        dists.append(Distribution(space, tuple(w / total for w in weights)))
+    values = mu_ideal_batch([d.weights for d in dists], ideal)
+    for dist, value in zip(dists, values):
         if sign * value > WITNESS_MARGIN:
-            return Witness(dist, value)
+            return Witness(dist, float(value))
     raise RuntimeError(
         "witness search exhausted its epsilon schedule without a stable sign"
     )
 
 
-def sign_survey(
-    ideal: Ideal,
-    samples: int,
-    seed: int,
-    value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SignSurvey:
-    """Sample the simplex uniformly and record the sign of the ideal's measure.
-
-    `value_fn` may replace the measure evaluation with any identical-value
-    routine (censuses pass the entropy-based co-information for speed);
-    it receives the whole sample matrix and returns one value per row.
-    """
+def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
+    """Sample the simplex uniformly and record the sign of the ideal's measure."""
     if samples < 1:
         raise ValueError("surveys need at least one sample")
-    n = ideal.space.n
     rng = np.random.default_rng(seed)
-    weight_rows = rng.dirichlet(np.ones(n), size=samples)
-    if value_fn is None:
-        values = mu_ideal_batch(weight_rows, ideal)
-    else:
-        values = np.asarray(value_fn(weight_rows), dtype=np.float64)
+    weight_rows = rng.dirichlet(np.ones(ideal.space.n), size=samples)
+    values = mu_ideal_batch(weight_rows, ideal)
     positive = int(np.count_nonzero(values > EQ_TOL))
     negative = int(np.count_nonzero(values < -EQ_TOL))
     lo = int(np.argmin(values))

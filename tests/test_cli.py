@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import logdec
 from logdec.cli import main, parse_system
+
+SRC = str(Path(logdec.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FIG_SYSTEM = {
     "outcomes": ["1", "2", "3"],
@@ -24,6 +32,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """Start `python -m logdec.cli argv` on this source tree, with piped output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "logdec.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs,
+    )
 
 
 class TestSystemFile:
@@ -48,6 +66,12 @@ class TestSystemFile:
     def test_json_errors_carry_line_and_column(self):
         with pytest.raises(Exception, match=r"line 1, column"):
             parse_system("{nope}")
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_weights_rejected(self, weight):
+        text = '{"outcomes": ["a", "b"], "p": [%s, 0.5], "variables": {"X": [0, 1]}}' % weight
+        with pytest.raises(Exception, match="finite"):
+            parse_system(text)
 
 
 class TestDecompose:
@@ -104,6 +128,47 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--file", fig_file, "--variable", "Q")
         assert code == 2
         assert "unknown variable" in err
+
+    def test_unnormalized_weights_fail_before_the_listing(self, capsys, tmp_path):
+        n = 16
+        path = tmp_path / "twice.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "outcomes": [f"o{i}" for i in range(n)],
+                    "p": [2.0 / n] * n,
+                    "variables": {"X": [i % 2 for i in range(n)], "Y": [i % 3 for i in range(n)]},
+                }
+            )
+        )
+        for command in ("decompose", "coinfo"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--file", str(path))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err == "error: entropy requires a normalized distribution\n"
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weights_exit_2_without_warnings(self, tmp_path, weight):
+        path = tmp_path / "bad.json"
+        path.write_text('{"outcomes": ["a", "b"], "p": [%s, 0.5], "variables": {"X": [0, 1]}}' % weight)
+        for command in ("decompose", "coinfo"):
+            proc = cli_process(command, "--file", str(path), text=True)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 2 and out == ""
+            assert err == "error: weights must be finite numbers\n"
+
+    def test_closed_stdout_exits_quietly(self):
+        # The 412 KB report outgrows the pipe buffer, so the writer is
+        # still writing when the reader goes away.
+        proc = cli_process(
+            "decompose", "--table", "0,1,2,0,1,2,0,1,2,0,1,1", "--nx", "3", "--ny", "4", "--json"
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_capacity_exit_code(self, capsys, tmp_path):
         n = 17
@@ -260,6 +325,15 @@ class TestCensusCommand:
         report = json.loads(out1)
         assert report["seed"] == 7
         assert report["results"]["always_negative_classes"] == 1
+
+    @pytest.mark.parametrize("shape", ["2x2", "2x3"])
+    def test_json_report_matches_the_golden_payload(self, capsys, shape):
+        nx, ny = shape.split("x")
+        code, out, _ = run(
+            capsys, "census", "--nx", nx, "--ny", ny, "--samples", "1000", "--seed", "424242", "--json"
+        )
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / f"census-{shape}.json").read_bytes()
 
     def test_generated_seed_is_reported(self, capsys):
         code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")

@@ -14,6 +14,8 @@ from logdec import (
     Ideal,
     OutcomeSpace,
     Partition,
+    coinformation_content,
+    common_refinement,
     content,
     entropy,
     merge_loss,
@@ -23,9 +25,9 @@ from logdec import (
     mu_table,
 )
 
-from logdec.measure import mu_ideal_batch, mu_table_batch
+from logdec.measure import _ideal_expansion, mu_ideal_batch
 
-from conftest import A, random_distribution, random_partition
+from conftest import A, random_atom, random_distribution, random_partition
 
 LG3 = math.log2(3.0)
 
@@ -219,15 +221,17 @@ class TestBulkTable:
             rows[2] *= 7.3
             rows[3] = rng.uniform(0.0, 3.0, size=n)
             reference = _concatenate_kernel(rows)
-            assert np.array_equal(mu_table_batch(rows), reference), n
+            for row, expected in zip(rows, reference):
+                assert np.array_equal(mu_table(row), expected), n
             sp = OutcomeSpace(n)
             for _ in range(3):
                 ideal = random_ideal(rng, sp, max_generators=12)
                 flags = np.zeros(1 << n, dtype=bool)
                 flags[list(ideal.enumerate().atoms)] = True
                 for row, table in zip(rows, reference):
-                    expected = table[None, :][:, flags].sum(axis=1)[0]
-                    assert mu_ideal(Distribution(sp, tuple(row)), ideal) == expected, n
+                    expected = table[flags].sum()
+                    value = mu_ideal(Distribution(sp, tuple(row)), ideal)
+                    assert value == pytest.approx(expected, abs=1e-12), n
 
     def test_batched_rows_measure_as_single_rows(self, rng):
         from conftest import random_ideal
@@ -240,6 +244,15 @@ class TestBulkTable:
             singles = [mu_ideal(Distribution(sp, tuple(r)), ideal) for r in rows]
             assert np.array_equal(batch, singles)
 
+    def test_rows_beyond_one_chunk_measure_as_single_rows(self, rng):
+        # The top atom of 12 outcomes has a 4096-entry expansion, so 300
+        # rows take two chunks of 2**20 masses.
+        sp = OutcomeSpace(12)
+        rows = rng.dirichlet(np.ones(12), size=300)
+        top = Ideal.generated_by(sp, [sp.full_mask])
+        singles = [mu_ideal(Distribution(sp, tuple(r)), top) for r in rows]
+        assert np.array_equal(mu_ideal_batch(rows, top), singles)
+
     def test_table_handles_unnormalized_weights(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -249,6 +262,39 @@ class TestBulkTable:
             for atom in range(1, sp.full_mask + 1):
                 if atom.bit_count() >= 2:
                     assert table[atom] == pytest.approx(mu_atom(dist, atom), abs=1e-10)
+
+
+class TestExpansion:
+    def test_coefficients_are_the_superset_moebius_inverse(self, rng):
+        from conftest import random_ideal
+
+        for _ in range(40):
+            sp = OutcomeSpace(int(rng.integers(2, 7)))
+            ideal = random_ideal(rng, sp, max_generators=4)
+            members = ideal.enumerate().atoms
+            expected = {}
+            for u in range(sp.full_mask + 1):
+                c = sum(
+                    (-1) ** (t & ~u).bit_count() for t in members if t & u == u
+                )
+                if c:
+                    expected[u] = c
+            support, coeffs = _ideal_expansion(ideal)
+            assert dict(zip(support.tolist(), coeffs.tolist())) == expected
+
+    def test_single_generator_is_the_closed_form(self, rng):
+        # <g> expands over U = S | ~g for every S inside g, with
+        # coefficient (-1)**|g - S|.
+        for _ in range(40):
+            sp = OutcomeSpace(int(rng.integers(2, 11)))
+            g = random_atom(rng, sp)
+            rest = sp.full_mask & ~g
+            expected = {}
+            for s in range(g + 1):
+                if s & ~g == 0:
+                    expected[s | rest] = (-1) ** (g & ~s).bit_count()
+            support, coeffs = _ideal_expansion(Ideal.generated_by(sp, [g]))
+            assert dict(zip(support.tolist(), coeffs.tolist())) == expected
 
 
 def _concatenate_kernel(weight_rows) -> np.ndarray:
@@ -304,3 +350,43 @@ class TestAccuracy:
             atom_value = mu_atom(Distribution(OutcomeSpace(n), weights), top)
             assert abs(mpmath.mpf(float(table_value)) - exact) <= self.ABS_ERROR, n
             assert abs(mpmath.mpf(atom_value) - exact) <= self.ABS_ERROR, n
+
+    def test_coinformation_ideals_against_a_60_digit_oracle(self):
+        # mu of the content intersection against the entropy route, which
+        # never touches the expansion: n = 10..20, 2 to 4 variables.
+        rng = np.random.default_rng(20240901)
+        for n in range(10, 21):
+            sp = OutcomeSpace(n)
+            for k in (2, 3, 4):
+                parts = [_random_blocks(rng, sp) for _ in range(k)]
+                ideal = coinformation_content(parts)
+                weights = [float(x) for x in rng.dirichlet(np.ones(n))]
+                value = mu_ideal(Distribution(sp, weights), ideal)
+                exact = _oracle_coinformation(weights, parts)
+                assert abs(mpmath.mpf(value) - exact) <= 1e-13, (n, k)
+
+
+def _random_blocks(rng, space: OutcomeSpace) -> Partition:
+    """A partition into 2 to 4 nonempty blocks."""
+    b = int(rng.integers(2, 5))
+    blocks = list(range(b)) + [int(x) for x in rng.integers(0, b, space.n - b)]
+    rng.shuffle(blocks)
+    return Partition(space, blocks)
+
+
+def _oracle_coinformation(weights, parts) -> mpmath.mpf:
+    """Alternating sum of joint entropies at 60 digits."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for sub in range(1, 1 << len(parts)):
+            chosen = [p for i, p in enumerate(parts) if sub >> i & 1]
+            joint = chosen[0]
+            for p in chosen[1:]:
+                joint = common_refinement(joint, p)
+            h = mpmath.mpf(0)
+            for mask in joint.block_masks:
+                q = mpmath.fsum(mpmath.mpf(w) for i, w in enumerate(weights) if mask >> i & 1)
+                if q > 0:
+                    h -= q * mpmath.log(q, 2)
+            total += h if len(chosen) % 2 else -h
+        return total

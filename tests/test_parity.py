@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from logdec import (
     Distribution,
     Ideal,
     OutcomeSpace,
+    Partition,
     atom_bits,
     classify_parity,
+    coinformation_content,
+    coinformation_numeric,
     mu_ideal,
     named_gate,
     sign_survey,
@@ -299,19 +304,23 @@ class TestSurveys:
         c = sign_survey(OR_IDEAL, 300, seed=6)
         assert (a.positive, a.negative) != (c.positive, c.negative) or a.min_value != c.min_value
 
-    def test_value_fn_replaces_the_measure_route(self):
+    def test_extremes_match_the_entropy_route(self):
         g = named_gate("or:2x2")
-        from logdec.gates import _coinformation_value_fn
+        parts = [g.x, g.y, g.z]
+        sv = sign_survey(OR_IDEAL, 500, seed=3)
+        for value, weights in ((sv.min_value, sv.min_weights), (sv.max_value, sv.max_weights)):
+            expected = coinformation_numeric(Distribution(OR_IDEAL.space, weights), parts)
+            assert value == pytest.approx(expected, abs=1e-12)
 
-        direct = sign_survey(OR_IDEAL, 500, seed=3)
-        via_entropy = sign_survey(
-            OR_IDEAL, 500, seed=3, value_fn=_coinformation_value_fn([g.x, g.y, g.z])
-        )
-        assert (direct.positive, direct.negative) == (
-            via_entropy.positive,
-            via_entropy.negative,
-        )
-        assert direct.min_value == pytest.approx(via_entropy.min_value, abs=1e-9)
+    def test_twenty_outcome_survey_is_fast(self):
+        rng = np.random.default_rng(17)
+        sp = OutcomeSpace(20)
+        parts = [Partition(sp, [int(b) for b in rng.integers(0, 3, 20)]) for _ in range(3)]
+        tri = coinformation_content(parts)
+        start = time.perf_counter()
+        sv = sign_survey(tri, 1000, seed=4)
+        assert time.perf_counter() - start < 2.0
+        assert sv.samples == 1000 and not tri.is_empty
 
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
