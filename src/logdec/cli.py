@@ -7,11 +7,13 @@ via --gate "xor:2x2" / --table "0,1,1,0" --nx 2 --ny 2 shortcuts.
 Reports go to stdout as aligned text or, with --json, as a JSON document
 with numbers at 12 significant digits; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 parse/validation error, 3 capacity, 4 failed
-precondition (for example witness construction on a non-mixed system),
-5 internal error (a violated internal invariant, reported on one line),
-141 stdout closed before the report was written (as a shell reports a
-process ended by SIGPIPE; nothing is printed).
+Exit codes: 0 success, 2 invalid input (any ValueError: a malformed
+system file or argument, or a value that OutcomeSpace, Distribution or
+Partition rejects), 3 capacity, 4 failed precondition (for example
+witness construction on a non-mixed system), 5 internal error (a
+violated internal invariant, reported on one line), 141 stdout closed
+before the report was written (as a shell reports a process ended by
+SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .contents import (
     coinformation_numeric,
     content,
 )
-from .gates import GateSystem, build_gate, census, check_census_arguments, named_gate
+from .gates import build_gate, census, check_census_arguments, named_gate
 from .ideals import Ideal
 from .measure import check_table_capacity, entropy, mu_atom, mu_ideal
 from .parity import classify_parity, witness_distributions
@@ -40,66 +42,8 @@ DECOMPOSE_MAX_N = 16
 SYSTEM_KEYS = {"outcomes", "p", "variables"}
 
 
-class ParseError(Exception):
-    """Bad input file or bad command arguments (exit code 2)."""
-
-
 class PreconditionError(Exception):
     """Structurally valid input that the command cannot act on (exit code 4)."""
-
-
-@dataclass(frozen=True)
-class SystemFile:
-    """Parsed form of the JSON system description."""
-
-    outcomes: tuple[str, ...]
-    p: tuple[float, ...] | None
-    variables: dict[str, tuple[int, ...]]
-
-
-def parse_system(text: str) -> SystemFile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(data, dict):
-        raise ParseError("system file must be a JSON object")
-    unknown = set(data) - SYSTEM_KEYS
-    if unknown:
-        raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
-    outcomes = data.get("outcomes")
-    if (
-        not isinstance(outcomes, list)
-        or not outcomes
-        or not all(isinstance(o, str) for o in outcomes)
-    ):
-        raise ParseError('"outcomes" must be a nonempty array of strings')
-    p = data.get("p")
-    if p is not None:
-        if not isinstance(p, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in p
-        ):
-            raise ParseError('"p" must be an array of numbers')
-        if len(p) != len(outcomes):
-            raise ParseError('"p" must have one weight per outcome')
-        if not all(abs(x) <= sys.float_info.max for x in p):
-            raise ParseError("weights must be finite numbers")
-        if any(x < 0 for x in p):
-            raise ParseError("weights must be nonnegative")
-        p = tuple(float(x) for x in p)
-    variables = data.get("variables")
-    if not isinstance(variables, dict) or not variables:
-        raise ParseError('"variables" must be a nonempty object')
-    parsed_vars: dict[str, tuple[int, ...]] = {}
-    for name, blocks in variables.items():
-        if not isinstance(blocks, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) for b in blocks
-        ):
-            raise ParseError(f'variable "{name}" must be an array of block indices')
-        if len(blocks) != len(outcomes):
-            raise ParseError(f'variable "{name}" must assign a block to every outcome')
-        parsed_vars[name] = tuple(blocks)
-    return SystemFile(outcomes=tuple(outcomes), p=p, variables=parsed_vars)
 
 
 @dataclass(frozen=True)
@@ -109,51 +53,70 @@ class System:
     variables: dict[str, Partition]
 
 
-def _system_from_file(path: str) -> System:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            sf = parse_system(fh.read())
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e.strerror}") from None
-    try:
-        space = OutcomeSpace(len(sf.outcomes), labels=sf.outcomes)
-        dist = Distribution(space, sf.p) if sf.p is not None else None
-        variables = {
-            name: Partition(space, blocks) for name, blocks in sf.variables.items()
-        }
-    except CapacityError:
-        raise
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    return System(space=space, dist=dist, variables=variables)
-
-
-def _system_from_gate(gate: GateSystem) -> System:
-    return System(
-        space=gate.space,
-        dist=Distribution.uniform(gate.space),
-        variables={"X": gate.x, "Y": gate.y, "Z": gate.z},
+def _list_of(value, kind) -> bool:
+    """A JSON array of `kind` values; true and false are not numbers."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in value
     )
+
+
+def parse_system(text: str) -> System:
+    """System from its JSON description.
+
+    Only the JSON shape is checked here; OutcomeSpace, Distribution and
+    Partition check the values, and a partition's errors name its variable.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(data, dict):
+        raise ValueError("system file must be a JSON object")
+    unknown = set(data) - SYSTEM_KEYS
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(sorted(unknown))}")
+    outcomes = data.get("outcomes")
+    if not _list_of(outcomes, str) or not outcomes:
+        raise ValueError('"outcomes" must be a nonempty array of strings')
+    p = data.get("p")
+    if p is not None and not _list_of(p, (int, float)):
+        raise ValueError('"p" must be an array of numbers')
+    variables = data.get("variables")
+    if not isinstance(variables, dict) or not variables:
+        raise ValueError('"variables" must be a nonempty object')
+    for name, blocks in variables.items():
+        if not _list_of(blocks, int):
+            raise ValueError(f'variable "{name}" must be an array of block indices')
+    space = OutcomeSpace(len(outcomes), labels=tuple(outcomes))
+    dist = Distribution(space, p) if p is not None else None
+    parts = {}
+    for name, blocks in variables.items():
+        try:
+            parts[name] = Partition(space, blocks)
+        except ValueError as e:
+            raise ValueError(f'variable "{name}": {e}') from None
+    return System(space=space, dist=dist, variables=parts)
 
 
 def _load_system(args) -> System:
     sources = [s for s in (args.file, args.gate, args.table) if s is not None]
     if len(sources) != 1:
-        raise ParseError("give exactly one of --file, --gate, --table")
+        raise ValueError("give exactly one of --file, --gate, --table")
     if args.file is not None:
-        return _system_from_file(args.file)
-    if args.gate is not None:
         try:
-            return _system_from_gate(named_gate(args.gate))
-        except ValueError as e:
-            raise ParseError(str(e)) from None
-    if args.nx is None or args.ny is None:
-        raise ParseError("--table needs --nx and --ny")
-    cells = [c.strip() for c in args.table.split(",")]
-    try:
-        return _system_from_gate(build_gate(args.nx, args.ny, cells))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ValueError(f"cannot read {args.file}: {e.strerror}") from None
+        return parse_system(text)
+    if args.gate is not None:
+        gate = named_gate(args.gate)
+    elif args.nx is None or args.ny is None:
+        raise ValueError("--table needs --nx and --ny")
+    else:
+        gate = build_gate(args.nx, args.ny, [c.strip() for c in args.table.split(",")])
+    variables = {"X": gate.x, "Y": gate.y, "Z": gate.z}
+    return System(gate.space, Distribution.uniform(gate.space), variables)
 
 
 def _pick_variables(system: System, names: list[str] | None) -> list[tuple[str, Partition]]:
@@ -162,7 +125,7 @@ def _pick_variables(system: System, names: list[str] | None) -> list[tuple[str, 
     out = []
     for name in names:
         if name not in system.variables:
-            raise ParseError(f"unknown variable name {name!r}")
+            raise ValueError(f"unknown variable name {name!r}")
         out.append((name, system.variables[name]))
     return out
 
@@ -173,7 +136,7 @@ def _require_distribution(system: System) -> Distribution:
             "this command needs a distribution: add a \"p\" array to the system file"
         )
     if not system.dist.normalized:
-        raise ParseError("entropy requires a normalized distribution")
+        raise ValueError("entropy requires a normalized distribution")
     return system.dist
 
 
@@ -196,18 +159,17 @@ def _round_floats(obj):
     return obj
 
 
-def make_report(command: str, argv: list[str], seed: int | None, results) -> dict:
-    return {
-        "command": command,
-        "argv": argv,
-        "version": __version__,
-        "seed": seed,
-        "results": _round_floats(results),
-    }
-
-
-def _emit(report: dict, as_json: bool, text_lines) -> None:
-    if as_json:
+def _emit(args, argv: list[str], results, text_lines, seed: int | None = None) -> None:
+    """Print the report: with --json the whole document, numbers at 12
+    significant digits; otherwise the text lines."""
+    if args.json:
+        report = {
+            "command": args.command,
+            "argv": argv,
+            "version": __version__,
+            "seed": seed,
+            "results": _round_floats(results),
+        }
         print(json.dumps(report, indent=2))
     else:
         for line in text_lines:
@@ -234,7 +196,7 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_decompose(args, argv) -> dict:
+def cmd_decompose(args, argv) -> None:
     system = _load_system(args)
     dist = _require_distribution(system)
     space = system.space
@@ -260,7 +222,6 @@ def cmd_decompose(args, argv) -> dict:
             "entropy": entropy(dist, part),
         }
     results = {"atoms": atom_rows, "totals": totals}
-    report = make_report("decompose", argv, None, results)
     rows = [[r["atom"], str(r["degree"]), f"{r['mu']:+.6f}"] for r in atom_rows]
     lines = _table(rows, ["atom", "degree", "mu"])
     lines.append("")
@@ -268,18 +229,17 @@ def cmd_decompose(args, argv) -> dict:
         lines.append(
             f"{name}: mu(content) = {tot['mu_content']:+.6f}   H = {tot['entropy']:.6f}"
         )
-    _emit(report, args.json, lines)
-    return report
+    _emit(args, argv, results, lines)
 
 
-def cmd_coinfo(args, argv) -> dict:
+def cmd_coinfo(args, argv) -> None:
     system = _load_system(args)
     if args.structure:
         check_table_capacity(system.space.n)
     dist = _require_distribution(system)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
-        raise ParseError("co-information needs at least two variable names")
+        raise ValueError("co-information needs at least two variable names")
     parts = [p for _, p in chosen]
     value = coinformation_numeric(dist, parts)
     results: dict = {
@@ -300,9 +260,7 @@ def cmd_coinfo(args, argv) -> dict:
         lines.append(f"degrees: {results['structure']['degrees']}")
         lines.append(f"parity: {results['structure']['parity']}")
         lines.append(f"mu(ideal) = {results['structure']['mu']:+.6f} bits")
-    report = make_report("coinfo", argv, None, results)
-    _emit(report, args.json, lines)
-    return report
+    _emit(args, argv, results, lines)
 
 
 def _survey_dict(survey) -> dict:
@@ -316,7 +274,7 @@ def _survey_dict(survey) -> dict:
     }
 
 
-def cmd_census(args, argv) -> dict:
+def cmd_census(args, argv) -> None:
     check_census_arguments(args.nx, args.ny, args.samples)
     seed = args.seed
     if seed is None:
@@ -348,7 +306,6 @@ def cmd_census(args, argv) -> dict:
         "classes": rows,
         "always_negative_classes": negatives,
     }
-    report = make_report("census", argv, seed, results)
     text_rows = [
         [
             ",".join(str(t) for t in r["table"]),
@@ -362,16 +319,15 @@ def cmd_census(args, argv) -> dict:
     lines = _table(text_rows, ["table", "degrees", "parity", "survey", "verdict"])
     lines.append("")
     lines.append(f"AlwaysNegative classes: {negatives}")
-    _emit(report, args.json, lines)
-    return report
+    _emit(args, argv, results, lines, seed)
 
 
-def cmd_witness(args, argv) -> dict:
+def cmd_witness(args, argv) -> None:
     system = _load_system(args)
     check_table_capacity(system.space.n)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
-        raise ParseError("witness construction needs at least two variable names")
+        raise ValueError("witness construction needs at least two variable names")
     check_variable_capacity(len(chosen))
     parts = [p for _, p in chosen]
     ideal = coinformation_content(parts)
@@ -397,9 +353,7 @@ def cmd_witness(args, argv) -> dict:
         }
         ps = ", ".join(f"{x:.6g}" for x in w.dist.weights)
         lines.append(f"{side} witness: p = [{ps}]   mu = {w.mu:+.6f} bits")
-    report = make_report("witness", argv, None, results)
-    _emit(report, args.json, lines)
-    return report
+    _emit(args, argv, results, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +418,6 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left (`| head`); devnull takes the interpreter's last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 3

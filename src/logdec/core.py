@@ -7,6 +7,7 @@ consumes atoms (AtomSet, Ideal, the measure) carries the space alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MAX_OUTCOMES = 24
@@ -92,7 +93,7 @@ class OutcomeSpace:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Nonnegative weights over one outcome space.
+    """Finite, nonnegative weights over one outcome space.
 
     Weights need not sum to one; several measure identities are quantified
     over arbitrary positive weights.  `normalized` reports whether the
@@ -103,10 +104,16 @@ class Distribution:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) != self.space.n:
-            raise ValueError("weight count must match outcome count")
-        if any(w < 0 for w in self.weights):
+        try:
+            weights = tuple(float(w) for w in self.weights)
+        except OverflowError:  # an integer beyond the double range
+            raise ValueError("weights must be finite numbers") from None
+        object.__setattr__(self, "weights", weights)
+        if len(weights) != self.space.n:
+            raise ValueError("a distribution needs one weight per outcome")
+        if not all(map(math.isfinite, weights)):
+            raise ValueError("weights must be finite numbers")
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
 
     @classmethod

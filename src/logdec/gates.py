@@ -141,11 +141,15 @@ def _input_permutations(nx: int, ny: int) -> list[tuple[int, ...]]:
     return maps
 
 
+def _orbit(table, perms) -> set[tuple[int, ...]]:
+    """The relabelled tables of one gate over all input permutations."""
+    return {first_occurrence_relabel(table[p] for p in perm) for perm in perms}
+
+
 def canonicalize(gate: GateSystem) -> tuple[int, ...]:
     """Lexicographically minimal table over row/column permutations and
     output relabelling; equal exactly for isomorphic gates."""
-    perms = _input_permutations(gate.nx, gate.ny)
-    return min(first_occurrence_relabel(gate.table[p] for p in perm) for perm in perms)
+    return min(_orbit(gate.table, _input_permutations(gate.nx, gate.ny)))
 
 
 def classify_gate(
@@ -215,7 +219,7 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     for table in restricted_growth_strings(nx * ny):
         if table in seen:
             continue
-        orbit = {first_occurrence_relabel(table[p] for p in perm) for perm in perms}
+        orbit = _orbit(table, perms)
         seen |= orbit
         classes.append((min(orbit), len(orbit)))
     classes.sort()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -46,12 +47,16 @@ def cli_process(*argv, **kwargs) -> subprocess.Popen:
 
 class TestSystemFile:
     def test_round_trips_bit_exactly(self):
-        sf = parse_system(json.dumps(FIG_SYSTEM))
-        assert sf.p == tuple(FIG_SYSTEM["p"])
+        system = parse_system(json.dumps(FIG_SYSTEM))
+        assert system.dist.weights == tuple(FIG_SYSTEM["p"])
         text = json.dumps(
-            {"outcomes": list(sf.outcomes), "p": list(sf.p), "variables": sf.variables}
+            {
+                "outcomes": list(system.space.labels),
+                "p": list(system.dist.weights),
+                "variables": {name: list(part.block_of) for name, part in system.variables.items()},
+            }
         )
-        assert parse_system(text) == sf
+        assert parse_system(text) == system
 
     def test_unknown_keys_rejected(self):
         bad = dict(FIG_SYSTEM, extra=1)
@@ -61,6 +66,11 @@ class TestSystemFile:
     def test_weight_count_checked(self):
         bad = dict(FIG_SYSTEM, p=[0.5, 0.5])
         with pytest.raises(Exception, match="one weight per outcome"):
+            parse_system(json.dumps(bad))
+
+    def test_partition_errors_name_the_variable(self):
+        bad = dict(FIG_SYSTEM, variables={"X": [0, 1, 1], "Y": [0, 2, 2]})
+        with pytest.raises(ValueError, match='^variable "Y": block indices must be dense'):
             parse_system(json.dumps(bad))
 
     def test_json_errors_carry_line_and_column(self):
@@ -334,6 +344,15 @@ class TestCensusCommand:
         )
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN / f"census-{shape}.json").read_bytes()
+
+    def test_three_by_three_payload_matches_the_golden_digest(self, capsys):
+        # The 1.4 MB payload is pinned by its SHA-256 (`sha256sum` format).
+        code, out, _ = run(
+            capsys, "census", "--nx", "3", "--ny", "3", "--samples", "1000", "--seed", "424242", "--json"
+        )
+        assert code == 0
+        expected = (GOLDEN / "census-3x3.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
     def test_generated_seed_is_reported(self, capsys):
         code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")

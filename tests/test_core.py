@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from logdec import (
     OutcomeSpace,
     Partition,
     all_partitions,
+    coinformation_content,
     common_coarsening,
     common_refinement,
     enumerate_complex,
+    mu_ideal,
 )
 
 from conftest import random_partition
@@ -63,6 +67,24 @@ class TestDistribution:
         sp = OutcomeSpace(3)
         d = Distribution(sp, (2.0, 3.0, 1e6))
         assert d.mass(0b011) == 5.0
+
+    @pytest.mark.parametrize(
+        "weight", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    def test_rejects_non_finite_weights(self, weight):
+        with pytest.raises(ValueError, match="weights must be finite numbers"):
+            Distribution(OutcomeSpace(3), (weight, 0.5, 0.5))
+
+    def test_nan_weight_cannot_reach_the_measure(self):
+        # The README triangle: a NaN mass used to read as 0 in x*log2(x),
+        # so this ideal measured a finite, wrong -0.5 (a zero weight gives 0).
+        space = OutcomeSpace(3)
+        x = Partition.from_blocks(space, [[0], [1, 2]])
+        y = Partition.from_blocks(space, [[0, 2], [1]])
+        mi = coinformation_content([x, y])
+        with pytest.raises(ValueError, match="finite"):
+            mu_ideal(Distribution(space, (math.nan, 0.5, 0.5)), mi)
+        assert mu_ideal(Distribution(space, (0.0, 0.5, 0.5)), mi) == 0.0
 
 
 class TestEnumerateComplex:

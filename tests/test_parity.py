@@ -3,7 +3,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logdec import (
@@ -278,6 +278,47 @@ class TestWitnesses:
                     assert w.mu == mu_ideal(w.dist, the_ideal)
                     checked += 1
         assert checked >= 60
+
+
+@st.composite
+def mixed_ideals(draw) -> Ideal:
+    """Ideals on 3 to 8 outcomes whose generators have both parities."""
+    n = draw(st.integers(3, 8))
+    atom = st.integers(3, (1 << n) - 1).filter(lambda m: m.bit_count() >= 2)
+    gens = draw(st.lists(atom, min_size=2, max_size=4))
+    the_ideal = Ideal.generated_by(OutcomeSpace(n), gens)
+    assume(len(the_ideal.generator_parities()) == 2)
+    return the_ideal
+
+
+def _ideal_mu_60_digits(weights, the_ideal) -> mpmath.mpf:
+    """mu(I) at 60 digits from the atoms of `Ideal.enumerate()`: each atom T
+    adds (-1)**|T - S| * f(m(S)) for every nonempty S inside it, with
+    f(x) = x*log2(x); the integer coefficients are summed first."""
+    coeffs: dict[int, int] = {}
+    for t in the_ideal.enumerate():
+        s = t
+        while s:
+            coeffs[s] = coeffs.get(s, 0) + (-1) ** (t & ~s).bit_count()
+            s = (s - 1) & t
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for s, c in coeffs.items():
+            m = mpmath.fsum(mpmath.mpf(weights[i]) for i in atom_bits(s))
+            if c and m > 0:
+                total += c * m * mpmath.log(m, 2)
+        return total
+
+
+class TestWitnessSchedule:
+    @given(mixed_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_witness_measures_have_their_sign_and_match_60_digits(self, the_ideal):
+        pos, neg = witness_distributions(the_ideal)
+        for side, w in ((1, pos), (-1, neg)):
+            exact = _ideal_mu_60_digits(w.dist.weights, the_ideal)
+            assert side * w.mu > 0 and mpmath.sign(exact) == side
+            assert abs(mpmath.mpf(w.mu) - exact) <= 1e-12
 
 
 class TestSurveys:
