@@ -9,21 +9,6 @@ probabilities are chosen, witness constructions for mixed-parity
 systems, and an exhaustive census of deterministic two-input gates.
 """
 
-import os
-
-# logdec makes no BLAS call, but OpenBLAS starts its thread pool when
-# numpy loads, and a second thread costs start-up time (`logdec
-# --version`: 0.095 s with one thread, 0.155 s with two, on 2 cores).
-# OpenBLAS reads this variable once, at that load, so it is set for that
-# import alone (unless the user chose a value) and the environment is left
-# as it was.
-if "OPENBLAS_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
 from .core import (
     AtomSet,
     CapacityError,

@@ -35,7 +35,7 @@ from .contents import (
 )
 from .gates import build_gate, census, check_census_arguments, named_gate
 from .ideals import Ideal
-from .measure import check_table_capacity, entropy, mu_atom, mu_ideal
+from .measure import entropy, mu_atom, mu_ideal
 from .parity import classify_parity, witness_distributions
 
 DECOMPOSE_MAX_N = 16
@@ -234,8 +234,6 @@ def cmd_decompose(args, argv) -> None:
 
 def cmd_coinfo(args, argv) -> None:
     system = _load_system(args)
-    if args.structure:
-        check_table_capacity(system.space.n)
     dist = _require_distribution(system)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
@@ -324,7 +322,6 @@ def cmd_census(args, argv) -> None:
 
 def cmd_witness(args, argv) -> None:
     system = _load_system(args)
-    check_table_capacity(system.space.n)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
         raise ValueError("witness construction needs at least two variable names")

@@ -15,8 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CapacityError,
     OutcomeSpace,
@@ -26,6 +24,7 @@ from .core import (
 )
 from .contents import coinformation_content
 from .ideals import Ideal
+from .measure import _numpy
 from .parity import (
     CERTIFIED_ODD,
     STRONGLY_MIXED,
@@ -251,6 +250,7 @@ def census(
     seed and its position in the canonical order.
     """
     check_census_arguments(nx, ny, samples)
+    np = _numpy()
     results = []
     for idx, (table, orbit) in enumerate(canonical_classes(nx, ny)):
         class_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0])

@@ -6,7 +6,8 @@ atom's outcomes are merged into one event.  Its sign on an atom of
 degree d with positive member weights is (-1)**d.  Summed over the full
 content of a variable it recovers the Shannon entropy, which this module
 also computes directly as the independent oracle.  Ideals are measured
-through one integer expansion over subset masses (see Bulk evaluation).
+through one integer expansion over subset masses, derived from their
+generators (see Bulk evaluation).
 
 Evaluation conventions: base-2 logarithms, double precision, subsets in
 ascending bit-pattern order.  Atoms with a zero-weight member measure
@@ -18,9 +19,11 @@ single_generator_sign refuses to name one.
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
+import os
+import sys
+from typing import TYPE_CHECKING
 
 from .core import (
     AtomSet,
@@ -32,6 +35,9 @@ from .core import (
     first_occurrence_relabel,
 )
 from .ideals import Ideal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EQ_TOL = 1e-9
 
@@ -100,16 +106,52 @@ def merge_loss(dist: Distribution, atom: int) -> float:
 # Over an ideal I the atoms' alternating sums collect into
 #     mu(I) = sum over U of c_I(U) * xlog2x(m(U)),  m(U) the weight of U,
 #     c_I(U) = sum over T in I with T >= U of (-1)**|T - U|.
-# The integer vector c_I comes from one superset-Moebius sweep of the
-# membership table; only its nonzero entries are kept, so a weight row
-# costs O(support x n).  Every ideal measure goes through it.  mu_table
-# lists every atom: subset masses, x*log2(x), subset Moebius transform.
-# Both build a 2**n table: above 20 outcomes they raise CapacityError.
+# The non-members of I (masks of degree below 2 included) form a down-set
+# D, the union of the boxes below its maximal elements M_1..M_k, and
+# c_I = delta_full - c_D.  The superset-Moebius transform of one box is
+# the delta at its top, so c_D follows box by box by inclusion-exclusion:
+#     F += delta_M - (F pushed forward by A -> A & M).
+# c_I is thus nonzero only on intersections of maximal non-members (for
+# a co-information ideal, blocks of joint partitions), and no 2**n table
+# is built: every ideal measure goes through this expansion.  mu_table
+# lists every atom (subset masses, x*log2(x), subset Moebius transform)
+# and stays capped at 20 outcomes.
 # ---------------------------------------------------------------------------
+
+# One expansion may take this many steps: a transversal or coefficient
+# read or written.  A step took 30-230 ns on one core of a 2-vCPU AMD
+# EPYC VM.  Co-information ideals stay far below the cap: the heaviest
+# found with 12 variables on 24 outcomes took 1.4M steps (0.05 s).  The
+# heaviest accepted ideal tried is the top atom of 20 outcomes (2**21
+# steps, 2**20 coefficients: mu_ideal 2.0 s, 250 MB); 12 disjoint pairs
+# on 24 outcomes (3**12 coefficients) raise after 0.16 s.
+EXPANSION_WORK_CAP = 3_000_000
+
+
+def _numpy():
+    """numpy, imported on first use.
+
+    logdec makes no BLAS call, but OpenBLAS starts its thread pool when
+    numpy loads, and a second thread costs start-up time (a process that
+    loaded numpy and exited: 0.155 s with two threads, 0.095 s with one,
+    on 2 cores).  OpenBLAS reads OPENBLAS_NUM_THREADS once, at that load,
+    so it is set to 1 for that import alone (unless the user chose a
+    value) and the environment is left as it was.
+    """
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy
+
+    return numpy
 
 
 def xlog2x(m: np.ndarray) -> np.ndarray:
     """Elementwise m * log2(m), with 0 * log 0 = 0, in one new array."""
+    np = _numpy()
     positive = m > 0.0
     out = np.zeros(m.shape, dtype=np.float64)
     np.log2(m, out=out, where=positive)
@@ -117,22 +159,13 @@ def xlog2x(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_table_capacity(n: int) -> None:
-    """Raise CapacityError when n outcomes exceed the measure table's cap."""
-    if n > _TABLE_MAX_N:
-        raise CapacityError(f"the measure table is capped at {_TABLE_MAX_N} outcomes, got {n}")
-
-
-def _below_degree_two(n: int) -> list[int]:
-    """The masks of degree 0 and 1."""
-    return [0] + [1 << k for k in range(n)]
-
-
 def mu_table(weights) -> np.ndarray:
     """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
+    np = _numpy()
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
-    check_table_capacity(n)
+    if n > _TABLE_MAX_N:
+        raise CapacityError(f"the measure table is capped at {_TABLE_MAX_N} outcomes, got {n}")
     m = np.zeros(1 << n, dtype=np.float64)
     for k in range(n):
         step = 1 << k
@@ -142,30 +175,82 @@ def mu_table(weights) -> np.ndarray:
         step = 1 << b
         v = t.reshape(-1, 2 * step)
         v[:, step:] -= v[:, :step]
-    t[_below_degree_two(n)] = 0.0
+    t[[0] + [1 << k for k in range(n)]] = 0.0
     return t
 
 
-def _ideal_expansion(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
-    """The masks U where c_I(U) is nonzero, and those integer coefficients:
-    the superset-Moebius transform of the membership table, which is the
-    upward closure of the generators without the degrees below 2."""
-    n = ideal.space.n
-    check_table_capacity(n)
-    flags = np.zeros(1 << n, dtype=bool)
-    flags[list(ideal.generators)] = True
-    for b in range(n):
-        step = 1 << b
-        v = flags.reshape(-1, 2 * step)
-        v[:, step:] |= v[:, :step]
-    flags[_below_degree_two(n)] = False
-    c = flags.astype(np.int32)
-    for b in range(n):
-        step = 1 << b
-        v = c.reshape(-1, 2 * step)
-        v[:, :step] -= v[:, step:]
-    support = np.flatnonzero(c)
-    return support, c[support]
+def _maximal_non_members(ideal: Ideal, spend) -> list[int]:
+    """The maximal masks outside the ideal, counting masks of degree below
+    2 as outside: the degree-1 generators, and the complements of the
+    minimal transversals of the generators.
+
+    The transversals come from Berge's algorithm, one generator g at a
+    time: a transversal that misses g grows by one member of g, and such
+    a growth is minimal unless it contains a transversal that hits g.
+    spend(steps) is called before each batch of steps.
+    """
+    # Ascending masks bring in the outcomes one at a time, which keeps the
+    # family small between generators: on a 12-variable co-information
+    # ideal it peaked at 44 transversals, and at 4096 in degree order.
+    transversals = [0]
+    for g in sorted(ideal.generators):
+        spend(len(transversals))
+        hit = [t for t in transversals if t & g]
+        missed = [t for t in transversals if not t & g]
+        if not missed:
+            continue
+        grown = []
+        for i in atom_bits(g):
+            rivals = [h for h in hit if h >> i & 1]
+            spend(len(hit) + len(missed) * (len(rivals) + 1))
+            for t in missed:
+                u = t | 1 << i
+                if all(h & ~u for h in rivals):
+                    grown.append(u)
+        transversals = hit + grown
+    full = ideal.space.full_mask
+    singles = [g for g in ideal.generators if degree(g) == 1]
+    return sorted(singles + [full & ~t for t in transversals])
+
+
+@functools.lru_cache(maxsize=1)
+def _ideal_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:
+    """The masks U where c_I(U) is nonzero with those integer coefficients,
+    ascending by mask.
+
+    Cached, so that a census class (survey and two witnesses) or a
+    witness schedule builds its ideal's expansion once.  Raises
+    CapacityError once the work passes EXPANSION_WORK_CAP.
+    """
+    spent = 0
+
+    def spend(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > EXPANSION_WORK_CAP:
+            raise CapacityError(
+                f"the ideal's expansion would exceed its cap of {EXPANSION_WORK_CAP} steps"
+            )
+
+    f: dict[int, int] = {}
+    for top in _maximal_non_members(ideal, spend):
+        # f += delta_top - (f pushed forward by A -> A & top)
+        spend(len(f))
+        pushed = {top: -1}
+        for a, c in f.items():
+            b = a & top
+            pushed[b] = pushed.get(b, 0) + c
+        spend(len(pushed))
+        for b, c in pushed.items():
+            left = f.get(b, 0) - c
+            if left:
+                f[b] = left
+            else:
+                f.pop(b, None)
+    full = ideal.space.full_mask
+    coeffs = {u: -c for u, c in f.items()}
+    coeffs[full] = coeffs.get(full, 0) + 1
+    return tuple(sorted((u, c) for u, c in coeffs.items() if c))
 
 
 def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
@@ -175,13 +260,16 @@ def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
     value does not depend on its batch; rows go in chunks of at most
     2**20 masses, the size of the largest table.
     """
+    np = _numpy()
     n = ideal.space.n
     W = np.asarray(weight_rows, dtype=np.float64).reshape(-1, n)
-    if ideal.is_empty:
+    expansion = _ideal_expansion(ideal)
+    if not expansion:
         return np.zeros(W.shape[0], dtype=np.float64)
-    support, coeffs = _ideal_expansion(ideal)
+    support = np.array([u for u, _ in expansion], dtype=np.int64)
+    coeffs = np.array([c for _, c in expansion], dtype=np.int64)
     members = [(support >> i & 1).astype(bool) for i in range(n)]
-    chunk = (1 << _TABLE_MAX_N) // support.size
+    chunk = max(1, (1 << _TABLE_MAX_N) // support.size)
     values = []
     for rows in np.split(W, range(chunk, W.shape[0], chunk)):
         m = np.zeros((rows.shape[0], support.size), dtype=np.float64)
@@ -192,7 +280,19 @@ def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
 
 
 def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
-    """Measure of an ideal: the sum of mu over its denoted atoms."""
+    """Measure of an ideal: the sum of mu over its denoted atoms.
+
+    Masses are added in ascending outcome order, and the terms are summed
+    with math.fsum.
+    """
     if dist.space != ideal.space:
         raise ValueError("distribution and ideal live on different spaces")
-    return float(mu_ideal_batch([dist.weights], ideal)[0])
+    w = dist.weights
+    terms = []
+    for u, c in _ideal_expansion(ideal):
+        m = 0.0
+        for i in atom_bits(u):
+            m += w[i]
+        if m > 0.0:
+            terms.append(c * (m * math.log2(m)))
+    return math.fsum(terms)

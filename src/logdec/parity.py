@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .core import Distribution, atom_bits, degree
 from .ideals import Ideal, minimal_antichain
-from .measure import EQ_TOL, mu_ideal, mu_ideal_batch
+from .measure import EQ_TOL, _numpy, mu_ideal, mu_ideal_batch
 
 CERTIFIED_EVEN = "CertifiedEven"
 CERTIFIED_ODD = "CertifiedOdd"
@@ -196,17 +194,15 @@ def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]
 def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
     space = ideal.space
     members = atom_bits(generator)
-    dists = []
     for eps in WITNESS_EPSILONS:
         weights = [eps] * space.n
         for i in members:
             weights[i] = 1.0 / len(members)
         total = sum(weights)
-        dists.append(Distribution(space, tuple(w / total for w in weights)))
-    values = mu_ideal_batch([d.weights for d in dists], ideal)
-    for dist, value in zip(dists, values):
+        dist = Distribution(space, tuple(w / total for w in weights))
+        value = mu_ideal(dist, ideal)
         if sign * value > WITNESS_MARGIN:
-            return Witness(dist, float(value))
+            return Witness(dist, value)
     raise RuntimeError(
         "witness search exhausted its epsilon schedule without a stable sign"
     )
@@ -216,6 +212,7 @@ def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
     """Sample the simplex uniformly and record the sign of the ideal's measure."""
     if samples < 1:
         raise ValueError("surveys need at least one sample")
+    np = _numpy()
     rng = np.random.default_rng(seed)
     weight_rows = rng.dirichlet(np.ones(ideal.space.n), size=samples)
     values = mu_ideal_batch(weight_rows, ideal)

@@ -247,8 +247,10 @@ class TestCoinfo:
         assert code == 2
         assert "unknown variable" in err
 
-    def test_structure_fails_fast_above_the_table_cap(self, capsys, tmp_path):
-        n = 21
+    def test_structure_answers_up_to_the_space_cap(self, capsys, tmp_path):
+        # The expansion needs no 2**n table, so `coinfo --structure` and
+        # `witness` take as many outcomes as a space holds.
+        n = 24
         path = tmp_path / "wide.json"
         path.write_text(
             json.dumps(
@@ -258,19 +260,24 @@ class TestCoinfo:
                     "variables": {
                         "X": [i % 2 for i in range(n)],
                         "Y": [i // 2 % 3 for i in range(n)],
+                        "Z": [i * 5 % 4 % 3 for i in range(n)],
                     },
                 }
             )
         )
-        code, out, _ = run(capsys, "coinfo", "--file", str(path), "--json")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "coinfo", "--file", str(path), "--structure", "--json")
         assert code == 0
-        assert "coinformation" in json.loads(out)["results"]
-        for argv in (["coinfo", "--structure"], ["witness"]):
-            start = time.perf_counter()
-            code, _, err = run(capsys, *argv, "--file", str(path))
-            assert time.perf_counter() - start < 2.0
-            assert code == 3
-            assert err.startswith("capacity error:") and err.count("\n") == 1
+        results = json.loads(out)["results"]
+        assert results["structure"]["parity"] == "StronglyMixed"
+        assert results["structure"]["mu"] == pytest.approx(results["coinformation"], abs=1e-12)
+        code, out, _ = run(capsys, "witness", "--file", str(path), "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["positive"]["mu"] > 0 > results["negative"]["mu"]
+        for side in ("positive", "negative"):
+            assert results[side]["mu"] == pytest.approx(results[side]["coinformation"], abs=1e-9)
+        assert time.perf_counter() - start < 2.0
 
     @staticmethod
     def _many_variables(tmp_path, k):

@@ -199,13 +199,25 @@ class TestBulkTable:
             )
 
     def test_above_the_table_cap_raises_capacity_error(self):
-        sp = OutcomeSpace(21)
-        dist = Distribution.uniform(sp)
+        # The table stops at 20 outcomes; ideals are measured up to the
+        # 24-outcome space cap, and an expansion past its work cap fails
+        # fast: 12 disjoint pairs on 24 outcomes expand over 3**12 masses.
+        for n in (21, 24):
+            sp = OutcomeSpace(n)
+            dist = Distribution.uniform(sp)
+            with pytest.raises(CapacityError):
+                mu_table(dist.weights)
+            # <12> expands over the masks outside {1, 2} joined with each
+            # subset of {1, 2}: f(1) - 2 f(1 - 1/n) + f(1 - 2/n)
+            f = lambda x: x * math.log2(x)
+            expected = -2 * f(1 - 1 / n) + f(1 - 2 / n)
+            pair = mu_ideal(dist, Ideal.generated_by(sp, [A("12")]))
+            assert pair == pytest.approx(expected, abs=1e-15)
+        sp = OutcomeSpace(24)
+        pairs = Ideal.generated_by(sp, [0b11 << 2 * i for i in range(12)])
         start = time.perf_counter()
         with pytest.raises(CapacityError):
-            mu_ideal(dist, Ideal.generated_by(sp, [A("12")]))
-        with pytest.raises(CapacityError):
-            mu_table(dist.weights)
+            mu_ideal(Distribution.uniform(sp), pairs)
         assert time.perf_counter() - start < 1.0
 
     def test_empty_ideal_measures_zero(self):
@@ -241,7 +253,7 @@ class TestBulkTable:
             rows = rng.dirichlet(np.ones(n), size=50)
             ideal = random_ideal(rng, sp, max_generators=6)
             batch = mu_ideal_batch(rows, ideal)
-            singles = [mu_ideal(Distribution(sp, tuple(r)), ideal) for r in rows]
+            singles = [mu_ideal_batch(r[None], ideal)[0] for r in rows]
             assert np.array_equal(batch, singles)
 
     def test_rows_beyond_one_chunk_measure_as_single_rows(self, rng):
@@ -250,8 +262,22 @@ class TestBulkTable:
         sp = OutcomeSpace(12)
         rows = rng.dirichlet(np.ones(12), size=300)
         top = Ideal.generated_by(sp, [sp.full_mask])
-        singles = [mu_ideal(Distribution(sp, tuple(r)), top) for r in rows]
+        singles = [mu_ideal_batch(r[None], top)[0] for r in rows]
         assert np.array_equal(mu_ideal_batch(rows, top), singles)
+
+    def test_scalar_measure_agrees_with_the_batch(self, rng):
+        # Same masses; math.log2 and fsum against numpy's log2 and
+        # pairwise sum.  Measured at most 8.7e-15 over these 300 ideals.
+        from conftest import random_ideal
+
+        for _ in range(300):
+            n = int(rng.integers(3, 15))
+            sp = OutcomeSpace(n)
+            ideal = random_ideal(rng, sp, max_generators=6)
+            rows = rng.dirichlet(np.ones(n), size=5)
+            for row, value in zip(rows, mu_ideal_batch(rows, ideal)):
+                scalar = mu_ideal(Distribution(sp, tuple(row)), ideal)
+                assert abs(scalar - value) <= 4.5e-14, n
 
     def test_table_handles_unnormalized_weights(self, rng):
         for _ in range(10):
@@ -265,6 +291,28 @@ class TestBulkTable:
 
 
 class TestExpansion:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_table_sweep(self, seed):
+        # Random ideals up to 12 outcomes, degree-1 generators and the
+        # full mask included, plus the empty ideal.
+        rng = np.random.default_rng([20241101, seed])
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            sp = OutcomeSpace(n)
+            gens = [
+                random_atom(rng, sp, min_degree=1)
+                for _ in range(int(rng.integers(0, 8)))
+            ]
+            if rng.random() < 0.1:
+                gens.append(sp.full_mask)
+            ideal = Ideal.generated_by(sp, gens)
+            assert _ideal_expansion(ideal) == _table_sweep_expansion(ideal), (n, gens)
+
+    def test_agrees_with_the_table_sweep_on_structure_ideals(self):
+        for n, k, parts in _structure_systems(seed=1):
+            ideal = coinformation_content(parts)
+            assert _ideal_expansion(ideal) == _table_sweep_expansion(ideal), (n, k)
+
     def test_coefficients_are_the_superset_moebius_inverse(self, rng):
         from conftest import random_ideal
 
@@ -279,8 +327,7 @@ class TestExpansion:
                 )
                 if c:
                     expected[u] = c
-            support, coeffs = _ideal_expansion(ideal)
-            assert dict(zip(support.tolist(), coeffs.tolist())) == expected
+            assert dict(_ideal_expansion(ideal)) == expected
 
     def test_single_generator_is_the_closed_form(self, rng):
         # <g> expands over U = S | ~g for every S inside g, with
@@ -293,8 +340,47 @@ class TestExpansion:
             for s in range(g + 1):
                 if s & ~g == 0:
                     expected[s | rest] = (-1) ** (g & ~s).bit_count()
-            support, coeffs = _ideal_expansion(Ideal.generated_by(sp, [g]))
-            assert dict(zip(support.tolist(), coeffs.tolist())) == expected
+            assert dict(_ideal_expansion(Ideal.generated_by(sp, [g]))) == expected
+
+
+def _table_sweep_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:
+    """c_I from the 2**n membership table: the upward closure of the
+    generators without the degrees below 2, then one integer
+    superset-Moebius sweep: the evaluator's earlier route, kept as its oracle."""
+    n = ideal.space.n
+    flags = np.zeros(1 << n, dtype=bool)
+    flags[list(ideal.generators)] = True
+    for b in range(n):
+        step = 1 << b
+        v = flags.reshape(-1, 2 * step)
+        v[:, step:] |= v[:, :step]
+    flags[[0] + [1 << k for k in range(n)]] = False
+    c = flags.astype(np.int64)
+    for b in range(n):
+        step = 1 << b
+        v = c.reshape(-1, 2 * step)
+        v[:, :step] -= v[:, step:]
+    support = np.flatnonzero(c)
+    return tuple(zip(support.tolist(), c[support].tolist()))
+
+
+def _structure_systems(seed: int):
+    """The systems of the benchmark's `structure` workload: 16 to 20
+    outcomes times 2 to 4 variables of 2 to 4 nonempty blocks, drawn as
+    perfbench/workloads.py draws them."""
+    index = 0
+    for n in range(16, 21):
+        for k in (2, 3, 4):
+            rng = np.random.default_rng([seed, 3, index])
+            index += 1
+            sp = OutcomeSpace(n)
+            parts = []
+            for _ in range(k):
+                b = int(rng.integers(2, 5))
+                blocks = list(range(b)) + [int(x) for x in rng.integers(0, b, n - b)]
+                rng.shuffle(blocks)
+                parts.append(Partition(sp, blocks))
+            yield n, k, parts
 
 
 def _concatenate_kernel(weight_rows) -> np.ndarray:
@@ -377,9 +463,9 @@ class TestAccuracy:
 
     def test_coinformation_ideals_against_a_60_digit_oracle(self):
         # mu of the content intersection against the entropy route, which
-        # never touches the expansion: n = 10..20, 2 to 4 variables.
+        # never touches the expansion: n = 10..24, 2 to 4 variables.
         rng = np.random.default_rng(20240901)
-        for n in range(10, 21):
+        for n in range(10, 25):
             sp = OutcomeSpace(n)
             for k in (2, 3, 4):
                 parts = [_random_blocks(rng, sp) for _ in range(k)]

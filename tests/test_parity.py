@@ -279,6 +279,16 @@ class TestWitnesses:
                     checked += 1
         assert checked >= 60
 
+    def test_a_gate_class_builds_its_expansion_once(self):
+        # survey, positive witness and negative witness share one build
+        from logdec import classify_gate
+        from logdec.measure import _ideal_expansion
+
+        _ideal_expansion.cache_clear()
+        c = classify_gate(named_gate("or"), samples=50, seed=3)
+        assert c.witness_positive is not None and c.witness_negative is not None
+        assert _ideal_expansion.cache_info().misses == 1
+
 
 @st.composite
 def mixed_ideals(draw) -> Ideal:

@@ -1,4 +1,5 @@
-"""Process start-up: importing logdec loads numpy with one BLAS thread."""
+"""Process start-up: logdec loads numpy only for the table, surveys and
+the census, and then with one BLAS thread."""
 
 import json
 import os
@@ -13,9 +14,19 @@ import logdec
 
 SRC = str(Path(logdec.__file__).resolve().parents[1])
 PROBE = (
-    "import json, os, logdec; print(json.dumps({"
+    "import json, os, logdec; logdec.mu_table([0.5, 0.5]); print(json.dumps({"
     "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
     "'threads': len(os.listdir('/proc/self/task'))}))"
+)
+# Runs the CLI, then reports on stderr whether numpy was ever imported.
+CLI_PROBE = (
+    "import sys\n"
+    "from logdec.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "sys.stderr.write(f'numpy={\"numpy\" in sys.modules}')\n"
 )
 
 
@@ -32,15 +43,33 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def probe(**env_overrides) -> dict:
+def _run(code: str, *args: str, **env_overrides) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    return json.loads(out.stdout)
+
+
+def probe(**env_overrides) -> dict:
+    return json.loads(_run(PROBE, **env_overrides).stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["--version"], False),
+        (["coinfo", "--gate", "or:2x2", "--structure"], False),
+        (["witness", "--gate", "or:2x2"], False),
+        (["decompose", "--gate", "or:2x2"], False),
+        (["census", "--nx", "2", "--ny", "2", "--samples", "10", "--seed", "1"], True),
+    ],
+)
+def test_only_the_census_imports_numpy(argv, loads_numpy):
+    err = _run(CLI_PROBE, *argv).stderr
+    assert err.endswith(f"numpy={loads_numpy}")
 
 
 class TestBlasThreads:
