@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 from dataclasses import dataclass
 
@@ -276,7 +275,7 @@ def cmd_census(args, argv) -> None:
     check_census_arguments(args.nx, args.ny, args.samples)
     seed = args.seed
     if seed is None:
-        seed = secrets.randbits(32)
+        seed = int.from_bytes(os.urandom(4), "big")
         print(f"generated seed: {seed}", file=sys.stderr)
     classifications = census(args.nx, args.ny, samples=args.samples, seed=seed)
     rows = []

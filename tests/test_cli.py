@@ -310,6 +310,29 @@ class TestCoinfo:
         assert code == 0
         assert len(json.loads(out)["results"]["variables"]) == MAX_VARIABLES
 
+    # system-20x4.json and system-12x2.json were drawn with
+    # numpy.random.default_rng(1) and (2): Dirichlet(1) weights and 2 to 4
+    # blocks per variable.  The report echoes argv, so the file is named
+    # relative to the golden directory.
+    @pytest.mark.parametrize(
+        "command, shape",
+        [("coinfo", "20x4"), ("coinfo", "12x2"), ("witness", "20x4")],
+    )
+    def test_structure_report_matches_the_golden_payload(self, capsys, monkeypatch, command, shape):
+        monkeypatch.chdir(GOLDEN)
+        argv = [command, "--file", f"system-{shape}.json", "--json"]
+        if command == "coinfo":
+            argv.insert(3, "--structure")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / f"{command}-{shape}.json").read_bytes()
+
+    def test_two_variable_golden_system_has_no_witness(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        code, out, err = run(capsys, "witness", "--file", "system-12x2.json", "--json")
+        assert code == 4 and out == ""
+        assert "pure even generators" in err
+
 
 class TestInternalErrors:
     def test_exhausted_witness_schedule_exits_5(self, capsys, monkeypatch):

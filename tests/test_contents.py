@@ -167,6 +167,48 @@ class TestCoinformation:
                 profile = coinformation_content([x, y]).degree_profile()
                 assert all(d == 2 for d in profile)
 
+    def test_fold_equals_the_intersection_of_contents(self, rng):
+        for _ in range(400):
+            n = int(rng.integers(1, 10))
+            sp = OutcomeSpace(n)
+            pool = [Partition.single_block(sp), Partition.discrete(sp)]
+            parts = []
+            for _ in range(int(rng.integers(1, 6))):
+                pick = int(rng.integers(0, 8))
+                if pick < 2:
+                    parts.append(pool[pick])
+                elif pick == 2 and parts:
+                    parts.append(parts[int(rng.integers(0, len(parts)))])
+                else:
+                    parts.append(random_partition(rng, sp))
+            oracle = content(parts[0])
+            for p in parts[1:]:
+                oracle = oracle.intersection(content(p))
+            assert coinformation_content(parts) == oracle
+
+    def test_variables_on_different_spaces_are_rejected(self):
+        x = Partition.discrete(OutcomeSpace(3))
+        y = Partition.discrete(OutcomeSpace(4))
+        with pytest.raises(ValueError, match="different outcome spaces"):
+            coinformation_content([x, y])
+
+    def test_pair_splitters_give_one_outcome_per_pair(self):
+        # Variable j splits the pair {2j, 2j+1} from the rest; a mask
+        # crosses every variable when it holds one outcome of each pair.
+        k = 8
+        sp = OutcomeSpace(2 * k)
+        parts = [
+            Partition.from_blocks(
+                sp, [[2 * j, 2 * j + 1], [i for i in range(2 * k) if i // 2 != j]]
+            )
+            for j in range(k)
+        ]
+        picks = [
+            sum(1 << (2 * j + (choice >> j & 1)) for j in range(k))
+            for choice in range(1 << k)
+        ]
+        assert coinformation_content(parts) == Ideal.generated_by(sp, picks)
+
     def test_generator_degrees_bounded_by_variable_count(self, rng):
         for m in (3, 4):
             for _ in range(80):

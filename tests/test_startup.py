@@ -1,5 +1,6 @@
 """Process start-up: logdec loads numpy only for the table, surveys and
-the census, and then with one BLAS thread."""
+the census, and then with one BLAS thread; no command outside the
+census loads `secrets` (with `hmac`, `hashlib` and `base64`)."""
 
 import json
 import os
@@ -18,7 +19,7 @@ PROBE = (
     "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
     "'threads': len(os.listdir('/proc/self/task'))}))"
 )
-# Runs the CLI, then reports on stderr whether numpy was ever imported.
+# Runs the CLI, then reports on stderr whether numpy and secrets were ever imported.
 CLI_PROBE = (
     "import sys\n"
     "from logdec.cli import main\n"
@@ -26,7 +27,7 @@ CLI_PROBE = (
     "    main(sys.argv[1:])\n"
     "except SystemExit:\n"
     "    pass\n"
-    "sys.stderr.write(f'numpy={\"numpy\" in sys.modules}')\n"
+    "sys.stderr.write(f'numpy={\"numpy\" in sys.modules} secrets={\"secrets\" in sys.modules}')\n"
 )
 
 
@@ -69,7 +70,9 @@ def probe(**env_overrides) -> dict:
 )
 def test_only_the_census_imports_numpy(argv, loads_numpy):
     err = _run(CLI_PROBE, *argv).stderr
-    assert err.endswith(f"numpy={loads_numpy}")
+    assert f"numpy={loads_numpy} " in err
+    if not loads_numpy:
+        assert err.endswith("secrets=False")
 
 
 class TestBlasThreads:
