@@ -12,7 +12,6 @@ exactly that ideal.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .core import (
     AtomSet,
@@ -25,18 +24,10 @@ from .core import (
     first_occurrence_relabel,
     non_entropic,
 )
-from .ideals import Ideal, minimal_antichain
+from .ideals import Ideal, minimal_antichain, step_meter
 from .measure import entropy
 
 BRUTE_FORCE_MAX_N = 16
-# ideal_to_variables builds, per combination of per-generator choices, one
-# common refinement for each generator after the first (at least one
-# partition for a single generator), at about 10-13 us each at 24
-# outcomes.  The cap counts those builds.  The heaviest accepted inputs
-# measured, at 24 outcomes on one core of a 2-vCPU Xeon VM, take 1.9 s
-# and up to 124 MB: one degree-17 generator (131 070 builds), or five
-# triples and two pairs (186 624 builds).
-VARIABLE_CONSTRUCTION_CAP = 200_000
 # Co-information over k variables needs 2**k - 1 joint entropies.
 MAX_VARIABLES = 12
 
@@ -79,7 +70,7 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     each outcome outside B, since a mask above it crosses P only by
     holding one.
     The heaviest input found, 12 variables on 24 outcomes with 3072
-    generators, takes about 1 s on one core of a 2-vCPU Xeon VM.
+    generators, takes about 0.35 s on one core of a 2-vCPU Xeon VM.
 
     Generators of an intersection of M contents have degree at most M
     (2 when M is 1, since contents are pair-generated); a violation would
@@ -140,50 +131,28 @@ def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
 def ideal_to_variables(ideal: Ideal) -> list[Partition]:
     """Variables whose co-information content is exactly the given ideal.
 
-    Per generator g with support S, form the two-block partitions
-    {(complement of S) + Q, S - Q} over every proper nonempty Q inside S,
-    then take common refinements across one choice per generator.  The
-    intersection of the returned partitions' contents equals the ideal.
+    One variable per maximal non-member M of the ideal: M is one block
+    and every other outcome is a block of its own.  Its content is every
+    atom not inside M, and an atom lies in the ideal exactly when it fits
+    inside no maximal non-member, so the contents intersect to the ideal.
+    Every singleton M gives the discrete partition, kept once; the list
+    is sorted by block assignment.  The Berge pass and the builds share
+    the step cap of ideals.EXPANSION_WORK_CAP (CapacityError).
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has no variable realisation")
-    space = ideal.space
-    gens = ideal.sorted_generators()
-    if any(degree(g) < 2 for g in gens):
+    if any(degree(g) < 2 for g in ideal.generators):
         raise ValueError("variable construction needs generators of degree >= 2")
-    builds_per_combination = max(len(gens) - 1, 1)
-    combinations = 1
-    for g in gens:
-        combinations *= (1 << degree(g)) - 2
-        if combinations * builds_per_combination > VARIABLE_CONSTRUCTION_CAP:
-            raise CapacityError(
-                "variable construction would exceed its cap of "
-                f"{VARIABLE_CONSTRUCTION_CAP} partition builds"
-            )
-    per_generator: list[list[Partition]] = []
-    for g in gens:
-        members = atom_bits(g)
-        complement = space.full_mask & ~g
-        spreads = []
-        for pick in range(1, 1 << len(members)):
-            if pick == (1 << len(members)) - 1:
-                continue
-            q = 0
-            for k, i in enumerate(members):
-                if pick >> k & 1:
-                    q |= 1 << i
-            block_of = [
-                0 if (complement | q) >> i & 1 else 1 for i in range(space.n)
-            ]
-            spreads.append(Partition(space, first_occurrence_relabel(block_of)))
-        per_generator.append(spreads)
-    combined: dict[tuple[int, ...], Partition] = {}
-    for choice in itertools.product(*per_generator):
-        joint = choice[0]
-        for p in choice[1:]:
-            joint = common_refinement(joint, p)
-        combined.setdefault(joint.block_of, joint)
-    return [combined[k] for k in sorted(combined)]
+    space = ideal.space
+    spend = step_meter("variable construction")
+    variables: dict[tuple[int, ...], Partition] = {}
+    for top in ideal.maximal_non_members(spend):
+        spend(space.n)
+        block_of = first_occurrence_relabel(
+            -1 if top >> i & 1 else i for i in range(space.n)
+        )
+        variables.setdefault(block_of, Partition(space, block_of))
+    return [variables[k] for k in sorted(variables)]
 
 
 def count_expressions(n: int) -> int:

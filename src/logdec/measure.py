@@ -34,7 +34,7 @@ from .core import (
     degree,
     first_occurrence_relabel,
 )
-from .ideals import Ideal
+from .ideals import Ideal, step_meter
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,15 +118,6 @@ def merge_loss(dist: Distribution, atom: int) -> float:
 # and stays capped at 20 outcomes.
 # ---------------------------------------------------------------------------
 
-# One expansion may take this many steps: a transversal or coefficient
-# read or written.  A step took 30-230 ns on one core of a 2-vCPU AMD
-# EPYC VM.  Co-information ideals stay far below the cap: the heaviest
-# found with 12 variables on 24 outcomes took 1.4M steps (0.05 s).  The
-# heaviest accepted ideal tried is the top atom of 20 outcomes (2**21
-# steps, 2**20 coefficients: mu_ideal 2.0 s, 250 MB); 12 disjoint pairs
-# on 24 outcomes (3**12 coefficients) raise after 0.16 s.
-EXPANSION_WORK_CAP = 3_000_000
-
 
 def _numpy():
     """numpy, imported on first use.
@@ -179,40 +170,6 @@ def mu_table(weights) -> np.ndarray:
     return t
 
 
-def _maximal_non_members(ideal: Ideal, spend) -> list[int]:
-    """The maximal masks outside the ideal, counting masks of degree below
-    2 as outside: the degree-1 generators, and the complements of the
-    minimal transversals of the generators.
-
-    The transversals come from Berge's algorithm, one generator g at a
-    time: a transversal that misses g grows by one member of g, and such
-    a growth is minimal unless it contains a transversal that hits g.
-    spend(steps) is called before each batch of steps.
-    """
-    # Ascending masks bring in the outcomes one at a time, which keeps the
-    # family small between generators: on a 12-variable co-information
-    # ideal it peaked at 44 transversals, and at 4096 in degree order.
-    transversals = [0]
-    for g in sorted(ideal.generators):
-        spend(len(transversals))
-        hit = [t for t in transversals if t & g]
-        missed = [t for t in transversals if not t & g]
-        if not missed:
-            continue
-        grown = []
-        for i in atom_bits(g):
-            rivals = [h for h in hit if h >> i & 1]
-            spend(len(hit) + len(missed) * (len(rivals) + 1))
-            for t in missed:
-                u = t | 1 << i
-                if all(h & ~u for h in rivals):
-                    grown.append(u)
-        transversals = hit + grown
-    full = ideal.space.full_mask
-    singles = [g for g in ideal.generators if degree(g) == 1]
-    return sorted(singles + [full & ~t for t in transversals])
-
-
 @functools.lru_cache(maxsize=1)
 def _ideal_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:
     """The masks U where c_I(U) is nonzero with those integer coefficients,
@@ -220,20 +177,12 @@ def _ideal_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:
 
     Cached, so that a census class (survey and two witnesses) or a
     witness schedule builds its ideal's expansion once.  Raises
-    CapacityError once the work passes EXPANSION_WORK_CAP.
+    CapacityError once the work, with the Berge pass that finds the
+    maximal non-members, passes ideals.EXPANSION_WORK_CAP.
     """
-    spent = 0
-
-    def spend(steps: int) -> None:
-        nonlocal spent
-        spent += steps
-        if spent > EXPANSION_WORK_CAP:
-            raise CapacityError(
-                f"the ideal's expansion would exceed its cap of {EXPANSION_WORK_CAP} steps"
-            )
-
+    spend = step_meter("the ideal's expansion")
     f: dict[int, int] = {}
-    for top in _maximal_non_members(ideal, spend):
+    for top in ideal.maximal_non_members(spend):
         # f += delta_top - (f pushed forward by A -> A & top)
         spend(len(f))
         pushed = {top: -1}

@@ -126,7 +126,8 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
 
     Mixed-degree generators are immediately StronglyMixed.  Pure-parity
     generator sets are certified when some bounded expansion search finds
-    a uniformly signed leaf decomposition; otherwise Undetermined.
+    a uniformly signed leaf decomposition; otherwise, including when the
+    search runs out of budget or of stack, Undetermined.
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has no parity")
@@ -143,7 +144,10 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
                 )
                 tag = CERTIFIED_EVEN if target == 1 else CERTIFIED_ODD
                 return ParityClass(tag, parity=target, certificate=certificate)
-    except _BudgetExhausted:
+    except (_BudgetExhausted, RecursionError):
+        # The search recurses once per peeled generator, so thousands of
+        # generators can run out of stack before the budget runs out;
+        # either way it stops early, and Undetermined stays sound.
         pass
     return ParityClass(UNDETERMINED)
 

@@ -10,6 +10,7 @@ from logdec import (
     OutcomeSpace,
     Partition,
     all_partitions,
+    atom_bits,
     coinformation_content,
     common_coarsening,
     coinformation_numeric,
@@ -23,7 +24,7 @@ from logdec import (
     mu_set,
 )
 
-from conftest import A, random_distribution, random_partition
+from conftest import A, random_distribution, random_ideal, random_partition
 
 
 def triangle_system():
@@ -299,29 +300,75 @@ class TestIdealToVariables:
                 continue
             assert coinformation_content(ideal_to_variables(ideal)) == ideal
 
-    def test_combination_cap_guards_blowup(self):
-        sp = OutcomeSpace(5)
-        gens = [
-            sum(1 << i for i in combo)
-            for combo in itertools.combinations(range(5), 3)
-        ]
-        with pytest.raises(CapacityError):
-            ideal_to_variables(Ideal.generated_by(sp, gens))
+    def test_random_ideals_round_trip(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(2, 11))
+            ideal = random_ideal(rng, OutcomeSpace(n), max_generators=5)
+            assert coinformation_content(ideal_to_variables(ideal)) == ideal
+
+    def test_each_variable_keeps_one_maximal_non_member_as_a_block(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            sp = OutcomeSpace(n)
+            ideal = random_ideal(rng, sp, max_generators=4)
+            parts = ideal_to_variables(ideal)
+            assert [p.block_of for p in parts] == sorted({p.block_of for p in parts})
+            for p in parts:
+                large = [b for b in p.block_masks if b & (b - 1)]
+                if not large:
+                    assert p == Partition.discrete(sp)
+                    continue
+                assert len(large) == 1
+                (block,) = large
+                assert not ideal.contains(block)
+                outside = sp.full_mask & ~block
+                assert all(ideal.contains(block | 1 << i) for i in atom_bits(outside))
+
+    def test_measure_matches_the_entropy_route(self, rng):
+        cases = 0
+        while cases < 200:
+            n = int(rng.integers(2, 11))
+            sp = OutcomeSpace(n)
+            ideal = random_ideal(rng, sp, max_generators=3)
+            parts = ideal_to_variables(ideal)
+            if len(parts) > 12:
+                continue
+            dist = random_distribution(rng, sp, floor=0.01)
+            assert mu_ideal(dist, ideal) == pytest.approx(
+                coinformation_numeric(dist, parts), abs=1e-9
+            )
+            cases += 1
 
     def test_empty_ideal_rejected(self):
         with pytest.raises(ValueError):
             ideal_to_variables(Ideal.empty(OutcomeSpace(3)))
 
+    def test_degree_one_generator_rejected(self):
+        with pytest.raises(ValueError):
+            ideal_to_variables(Ideal.generated_by(OutcomeSpace(3), [A("1"), A("23")]))
+
     @pytest.mark.parametrize(
-        "gens",
+        "n, gens",
         [
-            # one degree-18 generator: 2**18 - 2 = 262 142 two-block partitions
-            [(1 << 18) - 1],
-            # 14 pairs: 2**14 combinations, 13 refinements each, 212 992 builds
-            [0b11 << i for i in range(14)],
+            (5, [sum(1 << i for i in c) for c in itertools.combinations(range(5), 3)]),
+            (24, [(1 << 18) - 1]),
+            (24, [0b11 << i for i in range(14)]),
         ],
+        ids=["all-triples-of-5", "degree-18", "14-chained-pairs"],
     )
-    def test_just_over_the_cap_fails_fast(self, gens):
+    def test_large_families_round_trip_fast(self, n, gens):
+        ideal = Ideal.generated_by(OutcomeSpace(n), gens)
+        start = time.perf_counter()
+        assert coinformation_content(ideal_to_variables(ideal)) == ideal
+        assert time.perf_counter() - start < 1.0
+
+    def test_exploding_family_hits_the_step_cap_fast(self):
+        # All 4-subsets in each of 4 blocks of 6: 20**4 maximal non-members.
+        gens = [
+            sum(1 << 6 * b + i for i in combo)
+            for b in range(4)
+            for combo in itertools.combinations(range(6), 4)
+        ]
         ideal = Ideal.generated_by(OutcomeSpace(24), gens)
         start = time.perf_counter()
         with pytest.raises(CapacityError):

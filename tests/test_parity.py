@@ -105,6 +105,17 @@ class TestClassification:
         big = ideal(6, "12", "34", "56", "13", "25", "46")
         assert classify_parity(big, budget=5).tag == UNDETERMINED
 
+    def test_stack_exhaustion_is_undetermined(self):
+        # Ten pair splitters over 24 outcomes: 1024 degree-10 generators,
+        # one recursion level per peeled generator.
+        sp = OutcomeSpace(24)
+        parts = [
+            Partition(sp, [0 if i // 2 == j else 1 for i in range(24)]) for j in range(10)
+        ]
+        ideal = coinformation_content(parts)
+        assert len(ideal.generators) == 1024
+        assert classify_parity(ideal).tag == UNDETERMINED
+
 
 class TestCertificates:
     def test_certificate_is_the_moebius_inverse_of_membership(self, rng):
