@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree
@@ -45,8 +45,7 @@ class PreconditionError(Exception):
     """Structurally valid input that the command cannot act on (exit code 4)."""
 
 
-@dataclass(frozen=True)
-class System:
+class System(NamedTuple):
     space: OutcomeSpace
     dist: Distribution | None
     variables: dict[str, Partition]

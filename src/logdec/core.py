@@ -8,7 +8,6 @@ consumes atoms (AtomSet, Ideal, the measure) carries the space alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MAX_OUTCOMES = 24
 NORMALIZATION_TOL = 1e-12
@@ -40,8 +39,30 @@ def atom_bits(atom: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class Value:
+    """Base of the value types: equality, hash and repr over the fields
+    named in `__slots__`, in that order.  Only operands of the same type
+    compare equal."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class OutcomeSpace(Value):
     """A finite outcome space with labelled outcomes indexed 0..n-1.
 
     Labels default to "1".."n".  The outcome count is capped at
@@ -49,22 +70,23 @@ class OutcomeSpace:
     enumeration stays below 2**24 atoms.
     """
 
-    n: int
-    labels: tuple[str, ...] = ()
+    __slots__ = ("n", "labels")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, labels: tuple[str, ...] = ()):
+        if n < 1:
             raise ValueError("an outcome space needs at least one outcome")
-        if self.n > MAX_OUTCOMES:
+        if n > MAX_OUTCOMES:
             raise CapacityError(
-                f"outcome spaces are capped at {MAX_OUTCOMES} outcomes, got {self.n}"
+                f"outcome spaces are capped at {MAX_OUTCOMES} outcomes, got {n}"
             )
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i + 1) for i in range(self.n)))
-        if len(self.labels) != self.n:
+        if not labels:
+            labels = tuple(str(i + 1) for i in range(n))
+        if len(labels) != n:
             raise ValueError("label count must match outcome count")
-        if len(set(self.labels)) != self.n:
+        if len(set(labels)) != n:
             raise ValueError("outcome labels must be unique")
+        self.n = n
+        self.labels = labels
 
     @property
     def full_mask(self) -> int:
@@ -91,8 +113,7 @@ class OutcomeSpace:
         return ",".join(labs)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """Finite, nonnegative weights over one outcome space.
 
     Weights need not sum to one; several measure identities are quantified
@@ -100,21 +121,21 @@ class Distribution:
     weights sum to 1 within 1e-12.
     """
 
-    space: OutcomeSpace
-    weights: tuple[float, ...]
+    __slots__ = ("space", "weights")
 
-    def __post_init__(self):
+    def __init__(self, space: OutcomeSpace, weights: tuple[float, ...]):
         try:
-            weights = tuple(float(w) for w in self.weights)
+            weights = tuple(float(w) for w in weights)
         except OverflowError:  # an integer beyond the double range
             raise ValueError("weights must be finite numbers") from None
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.space.n:
+        if len(weights) != space.n:
             raise ValueError("a distribution needs one weight per outcome")
         if not all(map(math.isfinite, weights)):
             raise ValueError("weights must be finite numbers")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
+        self.space = space
+        self.weights = weights
 
     @classmethod
     def uniform(cls, space: OutcomeSpace) -> "Distribution":
@@ -129,21 +150,21 @@ class Distribution:
         return sum(self.weights[i] for i in atom_bits(atom))
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(Value):
     """A finite set of atoms of degree >= 2 over one space."""
 
-    space: OutcomeSpace
-    atoms: frozenset[int]
+    __slots__ = ("space", "atoms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(int(a) for a in self.atoms))
-        full = self.space.full_mask
-        for a in self.atoms:
+    def __init__(self, space: OutcomeSpace, atoms: frozenset[int]):
+        atoms = frozenset(int(a) for a in atoms)
+        full = space.full_mask
+        for a in atoms:
             if a & ~full:
                 raise ValueError("atom outside the outcome space")
             if non_entropic(a):
                 raise ValueError("atom sets only hold atoms of degree >= 2")
+        self.space = space
+        self.atoms = atoms
 
     def __len__(self) -> int:
         return len(self.atoms)

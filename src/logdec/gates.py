@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     CapacityError,
@@ -49,8 +49,7 @@ MIXED_SIGN = "MixedSign"
 ZERO_COINFORMATION = "ZeroCoinformation"
 
 
-@dataclass(frozen=True)
-class GateSystem:
+class GateSystem(NamedTuple):
     """Joint space of (X, Y, Z = f(X, Y)) with the three marginal partitions."""
 
     nx: int
@@ -62,8 +61,7 @@ class GateSystem:
     z: Partition
 
 
-@dataclass(frozen=True)
-class GateClassification:
+class GateClassification(NamedTuple):
     """Structural and empirical verdict for one canonical gate class."""
 
     nx: int

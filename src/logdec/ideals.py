@@ -10,10 +10,17 @@ list denotes the empty set and is flagged degenerate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import AtomSet, CapacityError, OutcomeSpace, atom_bits, degree, non_entropic
+from .core import (
+    AtomSet,
+    CapacityError,
+    OutcomeSpace,
+    Value,
+    atom_bits,
+    degree,
+    non_entropic,
+)
 
 
 def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
@@ -86,8 +93,7 @@ def _supersets(base: int, free: int):
         sub = (sub - free) & free
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Value):
     """Upward-closed atom set, stored as its minimal generating antichain.
 
     Generators of degree 1 are tolerated transiently for algebraic
@@ -95,17 +101,17 @@ class Ideal:
     degree >= 2.
     """
 
-    space: OutcomeSpace
-    generators: frozenset[int]
+    __slots__ = ("space", "generators")
 
-    def __post_init__(self):
-        full = self.space.full_mask
-        for g in self.generators:
+    def __init__(self, space: OutcomeSpace, generators: frozenset[int]):
+        full = space.full_mask
+        for g in generators:
             if g == 0:
                 raise ValueError("the empty pattern cannot generate an ideal")
             if g & ~full:
                 raise ValueError("generator outside the outcome space")
-        object.__setattr__(self, "generators", minimal_antichain(self.generators))
+        self.space = space
+        self.generators = minimal_antichain(generators)
 
     @classmethod
     def generated_by(cls, space: OutcomeSpace, atoms: Iterable[int]) -> "Ideal":

@@ -12,7 +12,6 @@ outcome and surveys still characterise such ideals empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .core import Distribution, atom_bits, degree
@@ -29,8 +28,7 @@ WITNESS_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 WITNESS_MARGIN = 10 * EQ_TOL
 
 
-@dataclass(frozen=True)
-class ParityClass:
+class ParityClass(NamedTuple):
     """Outcome of structural sign classification.
 
     A certificate is a signed list of single-generator leaf ideals
@@ -44,10 +42,7 @@ class ParityClass:
     certificate: tuple[tuple[int, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class SignSurvey:
-    """Signs of an ideal's measure over distributions sampled from the simplex."""
-
+class _SurveyFields(NamedTuple):
     samples: int
     positive: int
     negative: int
@@ -58,9 +53,17 @@ class SignSurvey:
     max_weights: tuple[float, ...]
     seed: int
 
-    def __post_init__(self):
+
+class SignSurvey(_SurveyFields):
+    """Signs of an ideal's measure over distributions sampled from the simplex."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.positive + self.negative + self.zero != self.samples:
             raise ValueError("survey counts must add up to the sample count")
+        return self
 
 
 class Witness(NamedTuple):
@@ -91,7 +94,9 @@ def _expansions(gens: frozenset[int], budget: _Budget) -> Iterator[dict[int, int
 
     Each step peels one generator g off the set G:
       mu(<G>) = mu(<G - g>) + mu(<g>) - mu(<products of g with G - g>)
-    and recurses on both remaining sets, enumerating peel orders.
+    and recurses on both remaining sets, enumerating peel orders.  The
+    products are reduced only once G - g has yielded, so a descent that
+    runs out of budget or stack reduces none.
     """
     budget.spend()
     if len(gens) == 1:
@@ -100,8 +105,10 @@ def _expansions(gens: frozenset[int], budget: _Budget) -> Iterator[dict[int, int
     for pivot in sorted(gens):
         budget.spend()
         rest = frozenset(gens - {pivot})
-        products = minimal_antichain(h | pivot for h in rest)
+        products = None
         for rest_leaves in _expansions(rest, budget):
+            if products is None:
+                products = minimal_antichain(h | pivot for h in rest)
             for product_leaves in _expansions(products, budget):
                 leaves = dict(rest_leaves)
                 leaves[pivot] = leaves.get(pivot, 0) + 1

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdec import (
+    AtomSet,
     CapacityError,
     Distribution,
+    Ideal,
     OutcomeSpace,
     Partition,
     all_partitions,
@@ -85,6 +87,68 @@ class TestDistribution:
         with pytest.raises(ValueError, match="finite"):
             mu_ideal(Distribution(space, (math.nan, 0.5, 0.5)), mi)
         assert mu_ideal(Distribution(space, (0.0, 0.5, 0.5)), mi) == 0.0
+
+
+class TestValueSemantics:
+    SPACE = OutcomeSpace(2, labels=("a", "b"))
+
+    def build_each(self):
+        # two separate constructions of each value type, equal field by field
+        return [
+            (OutcomeSpace(2, labels=("a", "b")), OutcomeSpace(n=2, labels=("a", "b"))),
+            (
+                Distribution(self.SPACE, (0.25, 0.75)),
+                Distribution(space=OutcomeSpace(2, ("a", "b")), weights=[0.25, 0.75]),
+            ),
+            (AtomSet(self.SPACE, {0b11}), AtomSet(space=self.SPACE, atoms=[0b11])),
+            (
+                Ideal(self.SPACE, frozenset({0b11})),
+                Ideal(space=self.SPACE, generators=frozenset({0b11})),
+            ),
+        ]
+
+    def test_equal_constructions_are_equal_and_hash_equal(self):
+        for first, second in self.build_each():
+            assert first is not second
+            assert first == second and not first != second
+            assert hash(first) == hash(second)
+            assert len({first, second}) == 1
+
+    def test_different_fields_are_unequal(self):
+        sp = self.SPACE
+        assert OutcomeSpace(2) != sp
+        assert Distribution(sp, (0.5, 0.5)) != Distribution(sp, (0.25, 0.75))
+        assert AtomSet(sp, {0b11}) != AtomSet(OutcomeSpace(2), {0b11})
+        assert Ideal(sp, frozenset({0b11})) != Ideal(sp, frozenset({0b01}))
+
+    def test_equality_is_same_type_only(self):
+        sp = self.SPACE
+        assert AtomSet(sp, {0b11}) != Ideal(sp, frozenset({0b11}))
+        assert Ideal(sp, frozenset({0b11})) != AtomSet(sp, {0b11})
+        assert sp != (2, ("a", "b"))
+
+    def test_reprs_keep_their_form(self):
+        sp = self.SPACE
+        assert repr(sp) == "OutcomeSpace(n=2, labels=('a', 'b'))"
+        assert repr(Distribution(sp, (0.25, 0.75))) == (
+            "Distribution(space=OutcomeSpace(n=2, labels=('a', 'b')), weights=(0.25, 0.75))"
+        )
+        assert repr(AtomSet(sp, {0b11})) == (
+            "AtomSet(space=OutcomeSpace(n=2, labels=('a', 'b')), atoms=frozenset({3}))"
+        )
+        assert repr(Ideal(sp, frozenset({0b11}))) == "Ideal<ab>"
+
+    def test_equal_ideals_share_the_cached_expansion(self):
+        from logdec.measure import _ideal_expansion
+
+        sp = OutcomeSpace(4)
+        dist = Distribution.uniform(sp)
+        _ideal_expansion.cache_clear()
+        first = mu_ideal(dist, Ideal(sp, frozenset({0b0111, 0b1011})))
+        second = mu_ideal(dist, Ideal(sp, frozenset({0b1011, 0b0111})))
+        assert first == second
+        assert _ideal_expansion.cache_info().hits == 1
+        assert _ideal_expansion.cache_info().misses == 1
 
 
 class TestEnumerateComplex:

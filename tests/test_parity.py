@@ -11,10 +11,12 @@ from logdec import (
     Ideal,
     OutcomeSpace,
     Partition,
+    SignSurvey,
     atom_bits,
     classify_parity,
     coinformation_content,
     coinformation_numeric,
+    minimal_antichain,
     mu_ideal,
     named_gate,
     sign_survey,
@@ -105,7 +107,7 @@ class TestClassification:
         big = ideal(6, "12", "34", "56", "13", "25", "46")
         assert classify_parity(big, budget=5).tag == UNDETERMINED
 
-    def test_stack_exhaustion_is_undetermined(self):
+    def test_stack_exhaustion_is_undetermined(self, monkeypatch):
         # Ten pair splitters over 24 outcomes: 1024 degree-10 generators,
         # one recursion level per peeled generator.
         sp = OutcomeSpace(24)
@@ -114,7 +116,17 @@ class TestClassification:
         ]
         ideal = coinformation_content(parts)
         assert len(ideal.generators) == 1024
+        # the descent overflows before any generator set yields, so it
+        # reduces no pivot products on the way down
+        built = []
+
+        def counted(atoms):
+            built.append(1)
+            return minimal_antichain(atoms)
+
+        monkeypatch.setattr("logdec.parity.minimal_antichain", counted)
         assert classify_parity(ideal).tag == UNDETERMINED
+        assert built == []
 
 
 class TestCertificates:
@@ -387,3 +399,13 @@ class TestSurveys:
     def test_needs_at_least_one_sample(self):
         with pytest.raises(ValueError):
             sign_survey(OR_IDEAL, 0, seed=1)
+
+    def test_counts_must_add_up(self):
+        sv = sign_survey(OR_IDEAL, 20, seed=1)
+        fields = sv._asdict()
+        assert SignSurvey(**fields) == sv
+        fields["zero"] += 1
+        with pytest.raises(ValueError, match="add up"):
+            SignSurvey(**fields)
+        with pytest.raises(ValueError, match="add up"):
+            SignSurvey(3, 1, 1, 0, 0.0, 0.0, (), (), 0)

@@ -1,6 +1,8 @@
 """Process start-up: logdec loads numpy only for the table, surveys and
 the census, and then with one BLAS thread; no command outside the
-census loads `secrets` (with `hmac`, `hashlib` and `base64`)."""
+census loads `secrets` (with `hmac`, `hashlib` and `base64`) or
+`inspect` (with `ast`, `dis` and `tokenize`), and no command loads
+`dataclasses`."""
 
 import json
 import os
@@ -19,7 +21,8 @@ PROBE = (
     "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
     "'threads': len(os.listdir('/proc/self/task'))}))"
 )
-# Runs the CLI, then reports on stderr whether numpy and secrets were ever imported.
+# Runs the CLI, then reports on stderr which of these modules were ever imported.
+PROBED = ("numpy", "secrets", "inspect", "dataclasses")
 CLI_PROBE = (
     "import sys\n"
     "from logdec.cli import main\n"
@@ -27,7 +30,7 @@ CLI_PROBE = (
     "    main(sys.argv[1:])\n"
     "except SystemExit:\n"
     "    pass\n"
-    "sys.stderr.write(f'numpy={\"numpy\" in sys.modules} secrets={\"secrets\" in sys.modules}')\n"
+    f"sys.stderr.write(' '.join(f'{{m}}={{m in sys.modules}}' for m in {PROBED!r}))\n"
 )
 
 
@@ -69,10 +72,13 @@ def probe(**env_overrides) -> dict:
     ],
 )
 def test_only_the_census_imports_numpy(argv, loads_numpy):
-    err = _run(CLI_PROBE, *argv).stderr
-    assert f"numpy={loads_numpy} " in err
+    report = _run(CLI_PROBE, *argv).stderr.rsplit("\n", 1)[-1]  # after the command's own lines
+    loaded = dict(item.split("=") for item in report.split())
+    assert loaded["numpy"] == str(loads_numpy)
+    # the census needs numpy, whose core imports inspect and whose random imports secrets
     if not loads_numpy:
-        assert err.endswith("secrets=False")
+        assert loaded["secrets"] == loaded["inspect"] == "False"
+    assert loaded["dataclasses"] == "False"
 
 
 class TestBlasThreads:
