@@ -11,9 +11,8 @@ exactly that ideal.
 
 from __future__ import annotations
 
-import functools
-
 from .core import (
+    MAX_OUTCOMES,
     AtomSet,
     CapacityError,
     Distribution,
@@ -115,16 +114,21 @@ def check_variable_capacity(count: int) -> None:
 def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
     """Alternating inclusion-exclusion of joint entropies: each nonempty
     subfamily, in bit-pattern order, adds the entropy of its common
-    refinement, + for odd sizes and - for even ones.  This route never
-    touches the measure and serves as its oracle."""
+    refinement (its lowest variable's with the rest's), + for odd sizes
+    and - for even ones.  This route never touches the measure and
+    serves as its oracle."""
     if not parts:
         raise ValueError("co-information needs at least one variable")
     check_variable_capacity(len(parts))
+    joint = [None] * (1 << len(parts))
     total = 0.0
     for sub in range(1, 1 << len(parts)):
-        chosen = [p for i, p in enumerate(parts) if sub >> i & 1]
-        sign = 1.0 if len(chosen) % 2 == 1 else -1.0
-        total += sign * entropy(dist, functools.reduce(common_refinement, chosen))
+        low = sub & -sub
+        first = parts[low.bit_length() - 1]
+        rest = sub ^ low
+        joint[sub] = common_refinement(first, joint[rest]) if rest else first
+        sign = 1.0 if sub.bit_count() % 2 == 1 else -1.0
+        total += sign * entropy(dist, joint[sub])
     return total
 
 
@@ -141,24 +145,22 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has no variable realisation")
-    if any(degree(g) < 2 for g in ideal.generators):
-        raise ValueError("variable construction needs generators of degree >= 2")
     space = ideal.space
     spend = step_meter("variable construction")
-    variables: dict[tuple[int, ...], Partition] = {}
+    variables = set()
     for top in ideal.maximal_non_members(spend):
         spend(space.n)
         block_of = first_occurrence_relabel(
             -1 if top >> i & 1 else i for i in range(space.n)
         )
-        variables.setdefault(block_of, Partition(space, block_of))
-    return [variables[k] for k in sorted(variables)]
+        variables.add(Partition(space, block_of))
+    return sorted(variables, key=lambda p: p.block_of)
 
 
 def count_expressions(n: int) -> int:
     """Number of atom subsets over n outcomes: 2**(2**n - n - 1), exact."""
     if n < 1:
         raise ValueError("need at least one outcome")
-    if n > 24:
-        raise CapacityError("expression counting is capped at 24 outcomes")
+    if n > MAX_OUTCOMES:
+        raise CapacityError(f"expression counting is capped at {MAX_OUTCOMES} outcomes")
     return 1 << ((1 << n) - n - 1)

@@ -176,15 +176,17 @@ class AtomSet(Value):
         return atom in self.atoms
 
 
-class Partition:
+class Partition(Value):
     """A surjective block assignment of outcomes (a random variable).
 
-    `block_of[i]` is the block index of outcome i; block indices must be
-    dense (0..block_count-1 with every block nonempty).  Two partitions
-    compare equal when their blocks agree, regardless of block numbering.
+    The input `block_of[i]` is the block index of outcome i; block
+    indices must be dense (0..block_count-1 with every block nonempty).
+    Blocks are renumbered in order of first occurrence, so `block_of` is
+    the partition's restricted-growth string: two labellings of the same
+    blocks build equal partitions with the same `block_masks`.
     """
 
-    __slots__ = ("space", "block_of", "block_count", "block_masks", "_key")
+    __slots__ = ("space", "block_of", "block_count", "block_masks")
 
     def __init__(self, space: OutcomeSpace, block_of):
         block_of = tuple(int(b) for b in block_of)
@@ -195,6 +197,7 @@ class Partition:
         count = max(block_of) + 1
         if set(block_of) != set(range(count)):
             raise ValueError("block indices must be dense with every block nonempty")
+        block_of = first_occurrence_relabel(block_of)
         masks = [0] * count
         for i, b in enumerate(block_of):
             masks[b] |= 1 << i
@@ -202,7 +205,6 @@ class Partition:
         self.block_of = block_of
         self.block_count = count
         self.block_masks = tuple(masks)
-        self._key = first_occurrence_relabel(block_of)
 
     @classmethod
     def from_blocks(cls, space: OutcomeSpace, blocks) -> "Partition":
@@ -249,16 +251,6 @@ class Partition:
             for blk in self.blocks()
             for i, j in zip(blk, blk[1:])
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.space == other.space
-            and self._key == other._key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space.n, self._key))
 
     def __repr__(self) -> str:
         blocks = ["{" + ",".join(self.space.labels[i] for i in blk) + "}" for blk in self.blocks()]

@@ -19,7 +19,6 @@ from .core import (
     Value,
     atom_bits,
     degree,
-    non_entropic,
 )
 
 
@@ -96,9 +95,7 @@ def _supersets(base: int, free: int):
 class Ideal(Value):
     """Upward-closed atom set, stored as its minimal generating antichain.
 
-    Generators of degree 1 are tolerated transiently for algebraic
-    convenience; enumeration and measurement only ever see atoms of
-    degree >= 2.
+    Generators are atoms: patterns of degree >= 2 inside the space.
     """
 
     __slots__ = ("space", "generators")
@@ -106,8 +103,8 @@ class Ideal(Value):
     def __init__(self, space: OutcomeSpace, generators: frozenset[int]):
         full = space.full_mask
         for g in generators:
-            if g == 0:
-                raise ValueError("the empty pattern cannot generate an ideal")
+            if degree(g) < 2:
+                raise ValueError("ideals are generated by atoms of degree >= 2")
             if g & ~full:
                 raise ValueError("generator outside the outcome space")
         self.space = space
@@ -141,12 +138,8 @@ class Ideal(Value):
     def enumerate(self) -> AtomSet:
         """All atoms of degree >= 2 in the denoted upper-set."""
         full = self.space.full_mask
-        seen: set[int] = set()
-        for g in sorted(self.generators):
-            for a in _supersets(g, full & ~g):
-                if not non_entropic(a):
-                    seen.add(a)
-        return AtomSet(self.space, frozenset(seen))
+        atoms = frozenset(a for g in self.generators for a in _supersets(g, full & ~g))
+        return AtomSet(self.space, atoms)
 
     def degree_profile(self) -> tuple[int, ...]:
         """Sorted degrees of the minimal generators."""
@@ -157,9 +150,8 @@ class Ideal(Value):
         return {degree(g) & 1 for g in self.generators}
 
     def maximal_non_members(self, spend) -> list[int]:
-        """The maximal masks outside the ideal, ascending, counting masks
-        of degree below 2 as outside: the degree-1 generators, and the
-        complements of the minimal transversals of the generators.
+        """The maximal masks outside the ideal, ascending: the complements
+        of the minimal transversals of the generators.
 
         An atom lies in the ideal exactly when it fits inside none of
         them.  The transversals come from Berge's algorithm, one
@@ -189,8 +181,7 @@ class Ideal(Value):
                         grown.append(u)
             transversals = hit + grown
         full = self.space.full_mask
-        singles = [g for g in self.generators if degree(g) == 1]
-        return sorted(singles + [full & ~t for t in transversals])
+        return sorted(full & ~t for t in transversals)
 
     def sorted_generators(self) -> list[int]:
         return sorted(self.generators, key=lambda g: (degree(g), g))

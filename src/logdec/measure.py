@@ -106,10 +106,10 @@ def merge_loss(dist: Distribution, atom: int) -> float:
 # Over an ideal I the atoms' alternating sums collect into
 #     mu(I) = sum over U of c_I(U) * xlog2x(m(U)),  m(U) the weight of U,
 #     c_I(U) = sum over T in I with T >= U of (-1)**|T - U|.
-# The non-members of I (masks of degree below 2 included) form a down-set
-# D, the union of the boxes below its maximal elements M_1..M_k, and
-# c_I = delta_full - c_D.  The superset-Moebius transform of one box is
-# the delta at its top, so c_D follows box by box by inclusion-exclusion:
+# The masks outside I form a down-set D, the union of the boxes below
+# its maximal elements M_1..M_k, and c_I = delta_full - c_D.  The
+# superset-Moebius transform of one box is the delta at its top, so c_D
+# follows box by box by inclusion-exclusion:
 #     F += delta_M - (F pushed forward by A -> A & M).
 # c_I is thus nonzero only on intersections of maximal non-members (for
 # a co-information ideal, blocks of joint partitions), and no 2**n table

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -13,6 +14,7 @@ from logdec import (
     atom_bits,
     coinformation_content,
     common_coarsening,
+    common_refinement,
     coinformation_numeric,
     content,
     content_bruteforce,
@@ -100,8 +102,6 @@ class TestExpressions:
 
     def test_difference_region_measures_conditional_entropy(self, rng):
         # C(X) - C(Y) is not an ideal, but C(X) u C(Y) minus C(Y) measures it
-        from logdec import common_refinement
-
         for _ in range(15):
             n = int(rng.integers(2, 7))
             sp = OutcomeSpace(n)
@@ -158,6 +158,30 @@ class TestCoinformation:
             structural = mu_ideal(dist, coinformation_content(parts))
             numeric = coinformation_numeric(dist, parts)
             assert structural == pytest.approx(numeric, abs=1e-9)
+
+    def test_numeric_route_is_the_reduce_sum_bit_for_bit(self, rng):
+        # Reference: every joint partition reduced from scratch.
+        def reduce_sum(dist, parts):
+            total = 0.0
+            for sub in range(1, 1 << len(parts)):
+                chosen = [p for i, p in enumerate(parts) if sub >> i & 1]
+                sign = 1.0 if len(chosen) % 2 == 1 else -1.0
+                total += sign * entropy(dist, functools.reduce(common_refinement, chosen))
+            return total
+
+        for trial in range(120):
+            sp = OutcomeSpace(int(rng.integers(2, 11)))
+            parts = []
+            for _ in range(1 if trial < 20 else int(rng.integers(2, 7))):
+                # Block indices dense but not in first-occurrence order.
+                b = int(rng.integers(1, sp.n + 1))
+                labels = list(range(b)) + [int(x) for x in rng.integers(0, b, sp.n - b)]
+                rng.shuffle(labels)
+                parts.append(Partition(sp, labels))
+            if len(parts) > 2 and trial % 3 == 0:
+                parts[-1] = parts[0]
+            dist = random_distribution(rng, sp)
+            assert coinformation_numeric(dist, parts) == reduce_sum(dist, parts), trial
 
     def test_pair_intersections_have_pair_generators(self):
         # exhaustive at n <= 4 here; the acceptance suite pushes further
@@ -344,7 +368,9 @@ class TestIdealToVariables:
             ideal_to_variables(Ideal.empty(OutcomeSpace(3)))
 
     def test_degree_one_generator_rejected(self):
-        with pytest.raises(ValueError):
+        # The Ideal itself refuses the degree-1 generator, before any
+        # variables are built.
+        with pytest.raises(ValueError, match="degree >= 2"):
             ideal_to_variables(Ideal.generated_by(OutcomeSpace(3), [A("1"), A("23")]))
 
     @pytest.mark.parametrize(

@@ -15,11 +15,12 @@ from logdec import (
     coinformation_content,
     common_coarsening,
     common_refinement,
+    entropy,
     enumerate_complex,
     mu_ideal,
 )
 
-from conftest import random_partition
+from conftest import random_distribution, random_partition
 
 
 class TestOutcomeSpace:
@@ -105,6 +106,7 @@ class TestValueSemantics:
                 Ideal(self.SPACE, frozenset({0b11})),
                 Ideal(space=self.SPACE, generators=frozenset({0b11})),
             ),
+            (Partition(self.SPACE, (0, 1)), Partition(space=self.SPACE, block_of=[1, 0])),
         ]
 
     def test_equal_constructions_are_equal_and_hash_equal(self):
@@ -119,7 +121,10 @@ class TestValueSemantics:
         assert OutcomeSpace(2) != sp
         assert Distribution(sp, (0.5, 0.5)) != Distribution(sp, (0.25, 0.75))
         assert AtomSet(sp, {0b11}) != AtomSet(OutcomeSpace(2), {0b11})
-        assert Ideal(sp, frozenset({0b11})) != Ideal(sp, frozenset({0b01}))
+        three = OutcomeSpace(3)
+        assert Ideal(three, frozenset({0b011})) != Ideal(three, frozenset({0b101}))
+        assert Partition(sp, (0, 1)) != Partition(sp, (0, 0))
+        assert Partition(sp, (0, 1)) != Partition(OutcomeSpace(2), (0, 1))
 
     def test_equality_is_same_type_only(self):
         sp = self.SPACE
@@ -184,6 +189,23 @@ class TestPartition:
         sp = OutcomeSpace(3)
         assert Partition(sp, [1, 0, 0]) == Partition(sp, [0, 1, 1])
         assert Partition(sp, [0, 1, 1]) != Partition(sp, [0, 1, 0])
+
+    def test_blocks_are_renumbered_in_first_occurrence_order(self):
+        assert Partition(OutcomeSpace(3), [1, 0, 1]).block_of == (0, 1, 0)
+        p = Partition(OutcomeSpace(4), [2, 0, 1, 3])
+        assert p.block_of == (0, 1, 2, 3)
+        assert p.block_masks == (0b0001, 0b0010, 0b0100, 0b1000)
+        assert p.blocks() == [[0], [1], [2], [3]]
+
+    def test_equal_partitions_have_bit_equal_entropy(self, rng):
+        # Blocks used to keep their input numbering, so equal partitions
+        # summed their block masses in different orders.
+        sp = OutcomeSpace(4)
+        a, b = Partition(sp, [2, 0, 1, 3]), Partition(sp, [0, 1, 2, 3])
+        assert a == b and hash(a) == hash(b)
+        for _ in range(200):
+            dist = random_distribution(rng, sp)
+            assert entropy(dist, a) == entropy(dist, b)
 
     def test_from_blocks_round_trip(self):
         sp = OutcomeSpace(4)

@@ -47,12 +47,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ideal.generated_by(sp, [A("14")])
 
-    def test_singleton_generators_are_tolerated(self):
-        # transient degree-1 algebra: <1> . <2> meets at the pair
-        one = ideal(3, "1")
-        two = ideal(3, "2")
-        assert one.intersection(two) == ideal(3, "12")
-        assert one.enumerate().atoms == {A("12"), A("13"), A("123")}
+    def test_singleton_generators_are_rejected(self):
+        # Ideals are upper sets of atoms; a degree-1 pattern is not one.
+        for gens in (["1"], ["1", "23"], ["3", "12"]):
+            with pytest.raises(ValueError, match="degree >= 2"):
+                ideal(3, *gens)
 
 
 class TestMembership:

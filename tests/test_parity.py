@@ -103,6 +103,17 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_parity(Ideal.empty(OutcomeSpace(3)))
 
+    def test_degree_one_generators_are_refused_when_the_ideal_is_built(self):
+        # <1> used to certify odd although its measure is positive, <1, 23>
+        # to be strongly mixed with no positive witness, and the sign of
+        # <1> to fail the sign law: neither is an ideal of atoms.
+        with pytest.raises(ValueError, match="degree >= 2"):
+            classify_parity(ideal(3, "1"))
+        with pytest.raises(ValueError, match="degree >= 2"):
+            witness_distributions(ideal(3, "1", "23"))
+        with pytest.raises(ValueError, match="degree >= 2"):
+            single_generator_sign(Distribution.uniform(OutcomeSpace(3)), A("1"))
+
     def test_budget_exhaustion_is_undetermined(self):
         big = ideal(6, "12", "34", "56", "13", "25", "46")
         assert classify_parity(big, budget=5).tag == UNDETERMINED
