@@ -195,7 +195,8 @@ class Partition(Value):
         if any(b < 0 for b in block_of):
             raise ValueError("block indices must be nonnegative")
         count = max(block_of) + 1
-        if set(block_of) != set(range(count)):
+        # At most n blocks: a huge index must not build a huge range.
+        if count > space.n or set(block_of) != set(range(count)):
             raise ValueError("block indices must be dense with every block nonempty")
         block_of = first_occurrence_relabel(block_of)
         masks = [0] * count
@@ -211,6 +212,8 @@ class Partition(Value):
         block_of = [-1] * space.n
         for b, members in enumerate(blocks):
             for i in members:
+                if not 0 <= i < space.n:
+                    raise ValueError(f"block member {i} outside the outcome space")
                 if block_of[i] != -1:
                     raise ValueError("blocks must be disjoint")
                 block_of[i] = b

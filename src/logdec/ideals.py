@@ -5,6 +5,10 @@ inclusion of outcome sets: it contains its generators and everything
 above them.  Union concatenates generators; intersection takes pairwise
 generator products (bitwise-or of the patterns).  The empty generator
 list denotes the empty set and is flagged degenerate.
+
+`minimal_transversals` (Berge) serves both directions of the duality
+between an ideal's generators and the complements of its maximal
+non-members; co-information contents take the second direction.
 """
 
 from __future__ import annotations
@@ -55,14 +59,15 @@ def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
 # One Berge pass, with what is built from its result, may take this many
 # steps: a transversal, coefficient or block label read or written.  A
 # step took 30-230 ns on one core of a 2-vCPU AMD EPYC VM.
-# Co-information ideals stay far below the cap: the heaviest found with
-# 12 variables on 24 outcomes took 1.4M steps (0.05 s) to expand.  The
+# The heaviest 12-variable co-information content found on 24 outcomes
+# (3072 generators) takes 2.1M steps (0.25 s) to build; the heaviest
+# such ideal found took 1.4M steps (0.05 s) to expand.  The
 # heaviest accepted ideal tried is the top atom of 20 outcomes (2**21
 # steps, 2**20 coefficients: mu_ideal 2.0 s, 250 MB); 12 disjoint pairs
 # on 24 outcomes (3**12 coefficients) raise after 0.16 s.  Building
 # variables, 8 disjoint triples on 24 outcomes (6561 variables) took
 # 0.26 s, and all 4-subsets in each of 4 blocks of 6 (20**4 maximal
-# non-members) raise after 0.23 s, on one core of a 2-vCPU Xeon VM.
+# non-members) raise after 0.1 s, on one core of a 2-vCPU Xeon VM.
 EXPANSION_WORK_CAP = 3_000_000
 
 
@@ -90,6 +95,34 @@ def _supersets(base: int, free: int):
         if sub == free:
             return
         sub = (sub - free) & free
+
+
+def minimal_transversals(edges: list[int], spend) -> list[int]:
+    """The minimal masks that meet every edge, by Berge's algorithm.
+
+    One edge e at a time: a transversal that misses e grows by one
+    member i of e, and such a growth is minimal unless it contains a
+    transversal that hits e, which can only be one whose sole member in
+    e is i.  No edges give [0]; an empty edge gives [].  spend(steps) is
+    called before each batch of steps.
+    """
+    transversals = [0]
+    for e in edges:
+        spend(len(transversals))
+        hit = [t for t in transversals if t & e]
+        missed = [t for t in transversals if not t & e]
+        if not missed:
+            continue
+        grown = []
+        for i in atom_bits(e):
+            rivals = [h for h in hit if h & e == 1 << i]
+            spend(len(hit) + len(missed) * (len(rivals) + 1))
+            for t in missed:
+                u = t | 1 << i
+                if all(h & ~u for h in rivals):
+                    grown.append(u)
+        transversals = hit + grown
+    return transversals
 
 
 class Ideal(Value):
@@ -151,37 +184,14 @@ class Ideal(Value):
 
     def maximal_non_members(self, spend) -> list[int]:
         """The maximal masks outside the ideal, ascending: the complements
-        of the minimal transversals of the generators.
-
-        An atom lies in the ideal exactly when it fits inside none of
-        them.  The transversals come from Berge's algorithm, one
-        generator g at a time: a transversal that misses g grows by one
-        member of g, and such a growth is minimal unless it contains a
-        transversal that hits g.  spend(steps) is called before each
-        batch of steps.
-        """
+        of the minimal transversals of the generators, since an atom lies
+        in the ideal exactly when it fits inside none of them."""
         # Ascending masks bring in the outcomes one at a time, which keeps
         # the family small between generators: on a 12-variable
         # co-information ideal it peaked at 44 transversals, and at 4096
         # in degree order.
-        transversals = [0]
-        for g in sorted(self.generators):
-            spend(len(transversals))
-            hit = [t for t in transversals if t & g]
-            missed = [t for t in transversals if not t & g]
-            if not missed:
-                continue
-            grown = []
-            for i in atom_bits(g):
-                rivals = [h for h in hit if h >> i & 1]
-                spend(len(hit) + len(missed) * (len(rivals) + 1))
-                for t in missed:
-                    u = t | 1 << i
-                    if all(h & ~u for h in rivals):
-                        grown.append(u)
-            transversals = hit + grown
         full = self.space.full_mask
-        return sorted(full & ~t for t in transversals)
+        return sorted(full & ~t for t in minimal_transversals(sorted(self.generators), spend))
 
     def sorted_generators(self) -> list[int]:
         return sorted(self.generators, key=lambda g: (degree(g), g))

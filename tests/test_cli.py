@@ -134,6 +134,15 @@ class TestDecompose:
         assert code == 2
         assert "line" in err
 
+    def test_huge_block_index_exits_2_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"outcomes": ["a", "b"], "variables": {"X": [0, 1000000000000]}}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decompose", "--file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith('error: variable "X": ')
+
     def test_unknown_variable(self, capsys, fig_file):
         code, _, err = run(capsys, "decompose", "--file", fig_file, "--variable", "Q")
         assert code == 2

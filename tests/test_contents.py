@@ -2,6 +2,7 @@ import functools
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from logdec import (
@@ -34,6 +35,16 @@ def triangle_system():
     x = Partition.from_blocks(sp, [[0], [1, 2]])
     y = Partition.from_blocks(sp, [[0, 2], [1]])
     return sp, x, y
+
+
+def splitter(sp, members):
+    """The two-block variable that splits `members` from the rest."""
+    return Partition(sp, [int(i in members) for i in range(sp.n)])
+
+
+def one_outcome_per_pair(k):
+    """Every mask holding one outcome of each pair {2j, 2j+1}, j < k."""
+    return [sum(1 << (2 * j + (c >> j & 1)) for j in range(k)) for c in range(1 << k)]
 
 
 def or_gate_system():
@@ -220,19 +231,39 @@ class TestCoinformation:
     def test_pair_splitters_give_one_outcome_per_pair(self):
         # Variable j splits the pair {2j, 2j+1} from the rest; a mask
         # crosses every variable when it holds one outcome of each pair.
-        k = 8
-        sp = OutcomeSpace(2 * k)
-        parts = [
-            Partition.from_blocks(
-                sp, [[2 * j, 2 * j + 1], [i for i in range(2 * k) if i // 2 != j]]
-            )
-            for j in range(k)
-        ]
-        picks = [
-            sum(1 << (2 * j + (choice >> j & 1)) for j in range(k))
-            for choice in range(1 << k)
-        ]
-        assert coinformation_content(parts) == Ideal.generated_by(sp, picks)
+        sp = OutcomeSpace(16)
+        parts = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(8)]
+        assert coinformation_content(parts) == Ideal.generated_by(sp, one_outcome_per_pair(8))
+
+    def test_heavy_splitter_systems_answer_within_the_step_cap(self):
+        # On 24 outcomes: 12 pair splitters give 4096 generators (21k
+        # steps); 10 pair splitters with splitters of {20,21,22} and
+        # {21,22,23} give 3072, the heaviest 12-variable system known
+        # (2.1M of the 3M steps).
+        sp = OutcomeSpace(24)
+        pairs = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(12)]
+        expected = Ideal.generated_by(sp, one_outcome_per_pair(12))
+        assert coinformation_content(pairs) == expected
+        parts = pairs[:10] + [splitter(sp, {20, 21, 22}), splitter(sp, {21, 22, 23})]
+        tails = [1 << 21, 1 << 22, 1 << 20 | 1 << 23]
+        expected = Ideal.generated_by(sp, [p | t for p in one_outcome_per_pair(10) for t in tails])
+        assert len(expected.generators) == 3072
+        assert coinformation_content(parts) == expected
+
+    def test_24_random_two_block_variables_can_exceed_the_step_cap(self):
+        # Twice the CLI's variable cap: the transversal pass needs 6.0M
+        # steps for this system's 4843 generators, and fails fast.
+        rng = np.random.default_rng(3)
+        sp = OutcomeSpace(24)
+        parts = []
+        while len(parts) < 24:
+            blocks = rng.integers(0, 2, sp.n)
+            if 0 < blocks.sum() < sp.n:
+                parts.append(Partition(sp, blocks))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="co-information content"):
+            coinformation_content(parts)
+        assert time.perf_counter() - start < 1.0
 
     def test_generator_degrees_bounded_by_variable_count(self, rng):
         for m in (3, 4):

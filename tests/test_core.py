@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(sp, [0, 1])
 
+    def test_a_huge_block_index_is_rejected_at_once(self):
+        sp = OutcomeSpace(2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dense"):
+            Partition(sp, [0, 10**12])
+        assert time.perf_counter() - start < 1.0
+
     def test_equality_ignores_block_numbering(self):
         sp = OutcomeSpace(3)
         assert Partition(sp, [1, 0, 0]) == Partition(sp, [0, 1, 1])
@@ -213,6 +221,11 @@ class TestPartition:
         assert p.blocks() == [[0, 2], [1], [3]]
         with pytest.raises(ValueError):
             Partition.from_blocks(sp, [[0, 1], [1, 2], [3]])
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [-1]], [[0, 1], [2, 3]]])
+    def test_from_blocks_rejects_members_outside_the_space(self, blocks):
+        with pytest.raises(ValueError, match="outside the outcome space"):
+            Partition.from_blocks(OutcomeSpace(3), blocks)
 
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:

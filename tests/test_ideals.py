@@ -9,8 +9,9 @@ from logdec import (
     minimal_antichain,
     mu_ideal,
 )
+from logdec.ideals import minimal_transversals
 
-from conftest import A, random_distribution
+from conftest import A, random_distribution, random_ideal
 
 
 def ideal(n, *atoms):
@@ -180,3 +181,36 @@ class TestOracleEquivalence:
                 else:
                     scans += 1
         assert lookups > 1000 and scans > 1000
+
+
+def no_cap(steps):
+    pass
+
+
+class TestMinimalTransversals:
+    def test_edge_cases(self):
+        assert minimal_transversals([], no_cap) == [0]
+        assert minimal_transversals([0b101, 0], no_cap) == []
+        assert sorted(minimal_transversals([0b011, 0b110], no_cap)) == [0b010, 0b101]
+
+    def test_matches_brute_force(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            edges = [int(e) for e in rng.integers(0, 1 << n, int(rng.integers(0, 9)))]
+            meets_all = [m for m in range(1 << n) if all(m & e for e in edges)]
+            hits = set(meets_all)
+            minimal = [
+                m for m in meets_all
+                if not any(m ^ 1 << i in hits for i in range(n) if m >> i & 1)
+            ]
+            assert sorted(minimal_transversals(edges, no_cap)) == minimal, edges
+
+    def test_transversals_of_the_maximal_non_members_complements_are_the_generators(self, rng):
+        sp = OutcomeSpace(4)
+        ideals = [Ideal.empty(sp)]
+        for _ in range(200):
+            ideals.append(random_ideal(rng, OutcomeSpace(int(rng.integers(2, 11))), 5))
+        for ideal in ideals:
+            full = ideal.space.full_mask
+            complements = [full & ~m for m in ideal.maximal_non_members(no_cap)]
+            assert set(minimal_transversals(complements, no_cap)) == ideal.generators
