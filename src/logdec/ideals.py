@@ -58,16 +58,18 @@ def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
 
 # One Berge pass, with what is built from its result, may take this many
 # steps: a transversal, coefficient or block label read or written.  A
-# step took 30-230 ns on one core of a 2-vCPU AMD EPYC VM.
-# The heaviest 12-variable co-information content found on 24 outcomes
-# (3072 generators) takes 2.1M steps (0.25 s) to build; the heaviest
-# such ideal found took 1.4M steps (0.05 s) to expand.  The
-# heaviest accepted ideal tried is the top atom of 20 outcomes (2**21
-# steps, 2**20 coefficients: mu_ideal 2.0 s, 250 MB); 12 disjoint pairs
-# on 24 outcomes (3**12 coefficients) raise after 0.16 s.  Building
-# variables, 8 disjoint triples on 24 outcomes (6561 variables) took
-# 0.26 s, and all 4-subsets in each of 4 blocks of 6 (20**4 maximal
-# non-members) raise after 0.1 s, on one core of a 2-vCPU Xeon VM.
+# step took 60-200 ns in the runs below, on one core of a 2-vCPU Xeon VM.
+# Co-information contents of up to 12 variables on 24 outcomes stay far
+# below it: 450 random systems took at most 125k steps to build and 455k
+# to expand, and 8 triple splitters with a splitter of {0, 1} (4374
+# generators) 148k to build.  96 random two-block variables on 24
+# outcomes raise after 0.24 s.  The heaviest accepted ideal tried is
+# the top atom of 20 outcomes (2**21 steps, 2**20 coefficients:
+# mu_ideal 2.5 s, 250 MB); 12 disjoint pairs on 24 outcomes (3**12
+# coefficients) raise after 0.6 s.  Building variables, 8 disjoint
+# triples on 24 outcomes (6561 variables) took 0.23 s and their content
+# 1.6M steps (0.2 s); all 4-subsets in each of 4 blocks of 6 (20**4
+# maximal non-members) raise after 0.18 s.
 EXPANSION_WORK_CAP = 3_000_000
 
 
@@ -100,28 +102,41 @@ def _supersets(base: int, free: int):
 def minimal_transversals(edges: list[int], spend) -> list[int]:
     """The minimal masks that meet every edge, by Berge's algorithm.
 
-    One edge e at a time: a transversal that misses e grows by one
-    member i of e, and such a growth is minimal unless it contains a
-    transversal that hits e, which can only be one whose sole member in
-    e is i.  No edges give [0]; an empty edge gives [].  spend(steps) is
-    called before each batch of steps.
+    One edge e at a time: a transversal t that misses e grows by each
+    member i of e that keeps it minimal.  t | i is not minimal when it
+    holds a kept transversal, which then meets e in i alone; equally,
+    when some member j of t has i in every earlier edge that j alone of
+    t meets.  Each edge takes the cheaper check: a step per such kept
+    transversal, or three per earlier edge (read it, and read and write
+    j's common members).  No edges give [0]; an empty edge gives [].
+    spend(steps) is called before each batch of steps.
     """
     transversals = [0]
-    for e in edges:
+    for k, e in enumerate(edges):
         spend(len(transversals))
-        hit = [t for t in transversals if t & e]
+        kept = [t for t in transversals if t & e]
         missed = [t for t in transversals if not t & e]
         if not missed:
             continue
-        grown = []
-        for i in atom_bits(e):
-            rivals = [h for h in hit if h & e == 1 << i]
-            spend(len(hit) + len(missed) * (len(rivals) + 1))
-            for t in missed:
-                u = t | 1 << i
-                if all(h & ~u for h in rivals):
-                    grown.append(u)
-        transversals = hit + grown
+        rivals = [(h & ~e, h & e) for h in kept if (h & e).bit_count() == 1]
+        check = min(len(rivals), 3 * k)
+        spend(len(kept) + len(missed) * (check + 1))
+        for t in missed:
+            blocked = 0
+            if check == len(rivals):
+                for rest, i in rivals:
+                    if not rest & ~t:
+                        blocked |= i
+            else:
+                alone: dict[int, int] = {}
+                for f in itertools.islice(edges, k):
+                    j = t & f
+                    if not j & (j - 1):
+                        alone[j] = alone.get(j, f) & f
+                for common in alone.values():
+                    blocked |= common
+            kept += [t | 1 << i for i in atom_bits(e & ~blocked)]
+        transversals = kept
     return transversals
 
 

@@ -27,6 +27,8 @@ from logdec import (
     mu_set,
 )
 
+from logdec.ideals import EXPANSION_WORK_CAP, step_meter
+
 from conftest import A, random_distribution, random_ideal, random_partition
 
 
@@ -45,6 +47,37 @@ def splitter(sp, members):
 def one_outcome_per_pair(k):
     """Every mask holding one outcome of each pair {2j, 2j+1}, j < k."""
     return [sum(1 << (2 * j + (c >> j & 1)) for j in range(k)) for c in range(1 << k)]
+
+
+def random_two_block_variables(count):
+    """`count` random two-block variables on 24 outcomes, from a fixed seed."""
+    rng = np.random.default_rng(3)
+    sp = OutcomeSpace(24)
+    parts = []
+    while len(parts) < count:
+        blocks = rng.integers(0, 2, sp.n)
+        if 0 < blocks.sum() < sp.n:
+            parts.append(Partition(sp, blocks))
+    return parts
+
+
+@pytest.fixture
+def content_steps(monkeypatch):
+    """The steps spent by each co-information content built in the test."""
+    spent = []
+
+    def meter(task):
+        capped = step_meter(task)
+        spent.append(0)
+
+        def spend(steps):
+            spent[-1] += steps
+            capped(steps)
+
+        return spend
+
+    monkeypatch.setattr("logdec.contents.step_meter", meter)
+    return spent
 
 
 def or_gate_system():
@@ -235,11 +268,11 @@ class TestCoinformation:
         parts = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(8)]
         assert coinformation_content(parts) == Ideal.generated_by(sp, one_outcome_per_pair(8))
 
-    def test_heavy_splitter_systems_answer_within_the_step_cap(self):
-        # On 24 outcomes: 12 pair splitters give 4096 generators (21k
-        # steps); 10 pair splitters with splitters of {20,21,22} and
-        # {21,22,23} give 3072, the heaviest 12-variable system known
-        # (2.1M of the 3M steps).
+    def test_heavy_splitter_systems_answer_far_below_the_step_cap(self, content_steps):
+        # On 24 outcomes: 12 pair splitters give 4096 generators; 10 pair
+        # splitters with splitters of {20,21,22} and {21,22,23} give 3072;
+        # 8 triple splitters with a splitter of {0,1} give the 4374 picks of
+        # one outcome per triple that hold 0 or 1 (148k steps).
         sp = OutcomeSpace(24)
         pairs = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(12)]
         expected = Ideal.generated_by(sp, one_outcome_per_pair(12))
@@ -249,21 +282,35 @@ class TestCoinformation:
         expected = Ideal.generated_by(sp, [p | t for p in one_outcome_per_pair(10) for t in tails])
         assert len(expected.generators) == 3072
         assert coinformation_content(parts) == expected
+        triples = [splitter(sp, {3 * j, 3 * j + 1, 3 * j + 2}) for j in range(8)]
+        picks = [sum(1 << 3 * j + c // 3**j % 3 for j in range(8)) for c in range(3**8)]
+        expected = Ideal.generated_by(sp, [p for p in picks if p & 0b11])
+        assert len(expected.generators) == 4374
+        assert coinformation_content(triples + [splitter(sp, {0, 1})]) == expected
+        assert len(content_steps) == 3
+        assert max(content_steps) < EXPANSION_WORK_CAP // 10
 
-    def test_24_random_two_block_variables_can_exceed_the_step_cap(self):
-        # Twice the CLI's variable cap: the transversal pass needs 6.0M
-        # steps for this system's 4843 generators, and fails fast.
-        rng = np.random.default_rng(3)
-        sp = OutcomeSpace(24)
-        parts = []
-        while len(parts) < 24:
-            blocks = rng.integers(0, 2, sp.n)
-            if 0 < blocks.sum() < sp.n:
-                parts.append(Partition(sp, blocks))
-        start = time.perf_counter()
+    def test_24_random_two_block_variables_answer(self):
+        # Twice the CLI's variable cap.  Every generator crosses each
+        # variable and stops doing so without any one of its outcomes;
+        # the count is the one the earlier per-variable crossing fold gave.
+        parts = random_two_block_variables(24)
+        blocks = [b for p in parts for b in p.block_masks]
+
+        def inside_a_block(m):
+            return any(not m & ~b for b in blocks)
+
+        ideal = coinformation_content(parts)
+        assert len(ideal.generators) == 4843
+        for g in ideal.generators:
+            assert not inside_a_block(g)
+            assert all(inside_a_block(g & ~(1 << i)) for i in atom_bits(g))
+
+    def test_96_random_two_block_variables_exceed_the_step_cap(self):
+        # Eight times the CLI's variable cap; the crossing fold answered
+        # with 20264 generators after about 14 s.
         with pytest.raises(CapacityError, match="co-information content"):
-            coinformation_content(parts)
-        assert time.perf_counter() - start < 1.0
+            coinformation_content(random_two_block_variables(96))
 
     def test_generator_degrees_bounded_by_variable_count(self, rng):
         for m in (3, 4):
