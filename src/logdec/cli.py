@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree
+from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree, enumerate_complex
 from .contents import (
     check_variable_capacity,
     coinformation_content,
@@ -204,11 +204,9 @@ def cmd_decompose(args, argv) -> None:
         )
     if args.variable is not None:
         chosen = _pick_variables(system, [args.variable])
-        atoms = sorted(content(chosen[0][1]).enumerate().atoms)
+        atoms = content(chosen[0][1]).enumerate()
     else:
-        atoms = sorted(
-            m for m in range(1, space.full_mask + 1) if m.bit_count() >= 2
-        )
+        atoms = enumerate_complex(space)
     atom_rows = [
         {"atom": space.format_atom(a), "degree": degree(a), "mu": mu_atom(dist, a)}
         for a in atoms
@@ -271,7 +269,7 @@ def _survey_dict(survey) -> dict:
 
 
 def cmd_census(args, argv) -> None:
-    check_census_arguments(args.nx, args.ny, args.samples)
+    check_census_arguments(args.nx, args.ny, args.samples, args.seed)
     seed = args.seed
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")

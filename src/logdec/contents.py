@@ -31,17 +31,10 @@ MAX_VARIABLES = 12
 
 
 def content(part: Partition) -> Ideal:
-    """The ideal of atoms crossing a block boundary of the partition.
-
-    Generated by every pair of outcomes drawn from distinct blocks.
-    """
-    gens = []
-    n = part.space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if part.block_of[i] != part.block_of[j]:
-                gens.append(1 << i | 1 << j)
-    return Ideal.generated_by(part.space, gens)
+    """The ideal of atoms crossing a block boundary of the partition: the
+    one-variable co-information content, generated by the cross-block
+    pairs.  A single block crosses nothing and gives the empty ideal."""
+    return coinformation_content([part])
 
 
 def content_bruteforce(part: Partition) -> AtomSet:

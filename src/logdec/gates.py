@@ -223,13 +223,16 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     return classes
 
 
-def check_census_arguments(nx: int, ny: int, samples: int) -> None:
+def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> None:
     """Reject census arguments before any work: ValueError below the
-    minimum, CapacityError above the caps."""
+    minimum (a seed may be None, for one still to be drawn),
+    CapacityError above the caps."""
     if nx < 1 or ny < 1:
         raise ValueError("census sides need at least one symbol")
     if samples < 1:
         raise ValueError("surveys need at least one sample")
+    if seed is not None and seed < 0:
+        raise ValueError("census seeds must be nonnegative")
     if nx > CENSUS_MAX_SIDE or ny > CENSUS_MAX_SIDE:
         raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
     if samples > CENSUS_MAX_SAMPLES:
@@ -247,7 +250,7 @@ def census(
     Each class gets its own deterministic seed derived from the census
     seed and its position in the canonical order.
     """
-    check_census_arguments(nx, ny, samples)
+    check_census_arguments(nx, ny, samples, seed)
     np = _numpy()
     results = []
     for idx, (table, orbit) in enumerate(canonical_classes(nx, ny)):

@@ -73,18 +73,16 @@ def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
 EXPANSION_WORK_CAP = 3_000_000
 
 
-def step_meter(task: str):
+def step_meter(task: str, cap: int = EXPANSION_WORK_CAP):
     """A spend(steps) callback that raises CapacityError once the task
-    has spent more than EXPANSION_WORK_CAP steps in all."""
+    has spent more than `cap` steps in all."""
     spent = 0
 
     def spend(steps: int) -> None:
         nonlocal spent
         spent += steps
-        if spent > EXPANSION_WORK_CAP:
-            raise CapacityError(
-                f"{task} would exceed its cap of {EXPANSION_WORK_CAP} steps"
-            )
+        if spent > cap:
+            raise CapacityError(f"{task} would exceed its cap of {cap} steps")
 
     return spend
 

@@ -48,8 +48,11 @@ def mu_atom(dist: Distribution, atom: int) -> float:
     """Measure of one atom under the given weights.
 
     Normalization is not required.  Raises ValueError on atoms of degree
-    below 2.  Returns exactly 0.0 when any member weight is zero.
+    below 2 or outside the space.  Returns exactly 0.0 when any member
+    weight is zero.
     """
+    if atom >> dist.space.n:
+        raise ValueError("atom outside the outcome space")
     d = degree(atom)
     if d < 2:
         raise ValueError("the measure is defined on atoms of degree >= 2")
@@ -72,7 +75,9 @@ def mu_atom(dist: Distribution, atom: int) -> float:
 
 def mu_set(dist: Distribution, atom_set: AtomSet) -> float:
     """Sum of mu over an atom set, in ascending bit-pattern order."""
-    return sum(mu_atom(dist, a) for a in sorted(atom_set.atoms))
+    if dist.space != atom_set.space:
+        raise ValueError("distribution and atom set live on different spaces")
+    return sum(mu_atom(dist, a) for a in atom_set)
 
 
 def entropy(dist: Distribution, part: Partition) -> float:
@@ -89,9 +94,11 @@ def entropy(dist: Distribution, part: Partition) -> float:
 
 def merge_loss(dist: Distribution, atom: int) -> float:
     """Entropy lost when the atom's outcomes are merged into one event."""
+    space = dist.space
+    if atom >> space.n:
+        raise ValueError("atom outside the outcome space")
     if degree(atom) < 2:
         raise ValueError("merging needs at least two outcomes")
-    space = dist.space
     first = atom_bits(atom)[0]
     merged = Partition(
         space,

@@ -2,10 +2,11 @@
 
 A single-generator ideal has measure of sign (-1)**degree for any fully
 positive weights.  Larger ideals are certified by searching
-inclusion-exclusion expansions over generator orderings until every
-signed leaf term has the same sign; ideals whose minimal generators mix
-even and odd degrees provably take both signs, and witness distributions
-for either sign are built by concentrating mass on one generator.
+inclusion-exclusion expansions over generator orderings, with steps
+spent from an ideals.step_meter, until every signed leaf term has the
+same sign; ideals whose minimal generators mix even and odd degrees
+provably take both signs, and witness distributions for either sign are
+built by concentrating mass on one generator.
 Certification is sound but not complete: Undetermined is a first-class
 outcome and surveys still characterise such ideals empirically.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import Distribution, atom_bits, degree
-from .ideals import Ideal, minimal_antichain
+from .core import CapacityError, Distribution, atom_bits, degree
+from .ideals import Ideal, minimal_antichain, step_meter
 from .measure import EQ_TOL, _numpy, mu_ideal, mu_ideal_batch
 
 CERTIFIED_EVEN = "CertifiedEven"
@@ -73,43 +74,28 @@ class Witness(NamedTuple):
     mu: float
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise _BudgetExhausted
-        self.remaining -= 1
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _expansions(gens: frozenset[int], budget: _Budget) -> Iterator[dict[int, int]]:
+def _expansions(gens: frozenset[int], spend) -> Iterator[dict[int, int]]:
     """Signed leaf decompositions mu(<gens>) = sum coeff * mu(<leaf>).
 
     Each step peels one generator g off the set G:
       mu(<G>) = mu(<G - g>) + mu(<g>) - mu(<products of g with G - g>)
-    and recurses on both remaining sets, enumerating peel orders.  The
-    products are reduced only once G - g has yielded, so a descent that
-    runs out of budget or stack reduces none.
+    and recurses on both remaining sets, enumerating peel orders, one
+    step per call and per pivot.  The products are reduced only once
+    G - g has yielded, so a descent that runs out of steps or stack
+    reduces none.
     """
-    budget.spend()
+    spend(1)
     if len(gens) == 1:
         yield {next(iter(gens)): 1}
         return
     for pivot in sorted(gens):
-        budget.spend()
+        spend(1)
         rest = frozenset(gens - {pivot})
         products = None
-        for rest_leaves in _expansions(rest, budget):
+        for rest_leaves in _expansions(rest, spend):
             if products is None:
                 products = minimal_antichain(h | pivot for h in rest)
-            for product_leaves in _expansions(products, budget):
+            for product_leaves in _expansions(products, spend):
                 leaves = dict(rest_leaves)
                 leaves[pivot] = leaves.get(pivot, 0) + 1
                 for mask, coeff in product_leaves.items():
@@ -132,9 +118,9 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
     """Classify an ideal's structural sign behaviour.
 
     Mixed-degree generators are immediately StronglyMixed.  Pure-parity
-    generator sets are certified when some bounded expansion search finds
-    a uniformly signed leaf decomposition; otherwise, including when the
-    search runs out of budget or of stack, Undetermined.
+    generator sets are certified when an expansion search of at most
+    `budget` steps finds a uniformly signed leaf decomposition; otherwise,
+    including when the search runs out of steps or of stack, Undetermined.
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has no parity")
@@ -142,16 +128,16 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
     if len(parities) == 2:
         return ParityClass(STRONGLY_MIXED)
     target = 1 if parities == {0} else -1
-    tracker = _Budget(budget)
+    spend = step_meter("the parity search", cap=budget)
     try:
-        for leaves in _expansions(ideal.generators, tracker):
+        for leaves in _expansions(ideal.generators, spend):
             if _uniform_sign(leaves, target):
                 certificate = tuple(
                     sorted(leaves.items(), key=lambda kv: (degree(kv[0]), kv[0]))
                 )
                 tag = CERTIFIED_EVEN if target == 1 else CERTIFIED_ODD
                 return ParityClass(tag, parity=target, certificate=certificate)
-    except (_BudgetExhausted, RecursionError):
+    except (CapacityError, RecursionError):
         # The search recurses once per peeled generator, so thousands of
         # generators can run out of stack before the budget runs out;
         # either way it stops early, and Undetermined stays sound.
@@ -162,16 +148,18 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
 def single_generator_sign(dist: Distribution, generator: int) -> int:
     """Sign of the measure of a one-generator ideal; always (-1)**degree.
 
-    Raises ValueError when a member of the generator has zero weight, or
+    Raises ValueError when the generator is not an atom of the space
+    (as Ideal does), when a member of the generator has zero weight, or
     when the computed measure is within EQ_TOL of 0: with skewed weights
     the true measure can be smaller than the cancellation error of the
     alternating sum, so double precision cannot resolve its sign.  Raises
     AssertionError when the measure lies beyond EQ_TOL on the wrong side,
     which would falsify the sign law.
     """
+    ideal = Ideal.generated_by(dist.space, [generator])
     if any(dist.weights[i] == 0.0 for i in atom_bits(generator)):
         raise ValueError("sign is undefined when a member has zero weight")
-    value = mu_ideal(dist, Ideal.generated_by(dist.space, [generator]))
+    value = mu_ideal(dist, ideal)
     if abs(value) <= EQ_TOL:
         raise ValueError(
             f"sign cannot be resolved in double precision: |mu| = {abs(value):.3g} "

@@ -1,5 +1,6 @@
 """The public surface: what `logdec` exports, and the README that shows it."""
 
+import inspect
 import re
 import types
 from pathlib import Path
@@ -30,3 +31,9 @@ def test_readme_quick_tour_runs_as_written():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_benchmark_binds_these_parameters_by_name():
+    # perfbench/spans.py reads these arguments by name from traced calls
+    assert {"ideal", "budget"} <= set(inspect.signature(logdec.classify_parity).parameters)
+    assert "samples" in inspect.signature(logdec.sign_survey).parameters

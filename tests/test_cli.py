@@ -447,6 +447,12 @@ class TestCensusCommand:
         assert "at least one sample" in err
         assert "generated seed" not in err
 
+    def test_negative_seed_fails_before_any_work(self, capsys, monkeypatch):
+        self._forbid_enumeration(monkeypatch)
+        code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--seed", "-1")
+        assert code == 2
+        assert err == "error: census seeds must be nonnegative\n"
+
     def test_sample_cap_fails_fast(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "1000000000")

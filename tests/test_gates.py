@@ -156,3 +156,11 @@ class TestCensus:
     def test_side_capacity(self):
         with pytest.raises(CapacityError):
             census(4, 2)
+
+    def test_negative_seed_rejected_before_enumeration(self, monkeypatch):
+        def enumerate_classes(nx, ny):
+            raise AssertionError("classes were enumerated before validation")
+
+        monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            census(2, 2, seed=-1)

@@ -18,6 +18,7 @@ from logdec import (
     common_refinement,
     content,
     entropy,
+    enumerate_complex,
     merge_loss,
     mu_atom,
     mu_ideal,
@@ -55,6 +56,11 @@ class TestMuAtom:
         with pytest.raises(ValueError):
             mu_atom(d, A("1"))
 
+    def test_atom_outside_the_space_rejected(self):
+        d = Distribution.uniform(OutcomeSpace(3))
+        with pytest.raises(ValueError, match="outside the outcome space"):
+            mu_atom(d, 0b11000)
+
     def test_only_member_weights_matter(self):
         d2 = Distribution(OutcomeSpace(2), (0.25, 0.25))
         d4 = Distribution(OutcomeSpace(4), (0.25, 0.25, 0.25, 0.25))
@@ -71,6 +77,12 @@ class TestMuSet:
         d = Distribution.uniform(sp)
         s = AtomSet(sp, frozenset({A("12"), A("123")}))
         assert mu_set(d, s) == pytest.approx(LG3 - 4.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dist_n, set_n", [(4, 3), (3, 4)])
+    def test_atom_set_on_another_space_rejected(self, dist_n, set_n):
+        d = Distribution.uniform(OutcomeSpace(dist_n))
+        with pytest.raises(ValueError, match="different spaces"):
+            mu_set(d, enumerate_complex(OutcomeSpace(set_n)))
 
     def test_full_content_recovers_entropy(self, rng):
         for _ in range(40):
@@ -112,6 +124,11 @@ class TestMergeLoss:
         sp = OutcomeSpace(3)
         d = Distribution(sp, (0.0, 0.4, 0.6))
         assert merge_loss(d, A("12")) == pytest.approx(0.0, abs=1e-12)
+
+    def test_atom_outside_the_space_rejected(self):
+        d = Distribution.uniform(OutcomeSpace(3))
+        with pytest.raises(ValueError, match="outside the outcome space"):
+            merge_loss(d, 0b11000)
 
     def test_equals_sum_of_sub_atom_measures(self, rng):
         # Moebius-inversion round trip on every atom of random small

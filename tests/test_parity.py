@@ -118,6 +118,13 @@ class TestClassification:
         big = ideal(6, "12", "34", "56", "13", "25", "46")
         assert classify_parity(big, budget=5).tag == UNDETERMINED
 
+    @pytest.mark.parametrize("atoms, steps", [(("12", "23", "34"), 7), (("12", "23"), 4)])
+    def test_budget_counts_one_step_per_call_and_per_pivot(self, atoms, steps):
+        # the smallest budgets that certify these chains
+        chain = ideal(4, *atoms)
+        assert classify_parity(chain, budget=steps - 1).tag == UNDETERMINED
+        assert classify_parity(chain, budget=steps).tag == CERTIFIED_EVEN
+
     def test_stack_exhaustion_is_undetermined(self, monkeypatch):
         # Ten pair splitters over 24 outcomes: 1024 degree-10 generators,
         # one recursion level per peeled generator.
@@ -231,6 +238,11 @@ class TestSingleGeneratorSign:
         dist = Distribution(sp, (0.0, 0.5, 0.5))
         with pytest.raises(ValueError):
             single_generator_sign(dist, A("12"))
+
+    def test_generator_outside_the_space_rejected(self):
+        d = Distribution.uniform(OutcomeSpace(3))
+        with pytest.raises(ValueError, match="outside the outcome space"):
+            single_generator_sign(d, 0b11000)
 
     def test_sign_below_float_resolution_is_refused(self):
         # true mu(<12>) is about w1 * w2 / ln 2 = 1.4e-12, under EQ_TOL
