@@ -10,7 +10,6 @@ systems, and an exhaustive census of deterministic two-input gates.
 """
 
 from .core import (
-    AtomSet,
     CapacityError,
     Distribution,
     OutcomeSpace,
@@ -21,7 +20,6 @@ from .core import (
     common_refinement,
     degree,
     enumerate_complex,
-    non_entropic,
 )
 from .ideals import Ideal, minimal_antichain
 from .measure import (
@@ -63,7 +61,6 @@ from .gates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomSet",
     "CapacityError",
     "Distribution",
     "GateClassification",
@@ -100,7 +97,6 @@ __all__ = [
     "mu_set",
     "mu_table",
     "named_gate",
-    "non_entropic",
     "sign_survey",
     "single_generator_sign",
     "witness_distributions",

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from .core import (
     MAX_OUTCOMES,
-    AtomSet,
     CapacityError,
     Distribution,
     Partition,
     common_refinement,
     degree,
     first_occurrence_relabel,
-    non_entropic,
 )
 from .ideals import Ideal, minimal_transversals, step_meter
 from .measure import entropy
@@ -37,20 +35,12 @@ def content(part: Partition) -> Ideal:
     return coinformation_content([part])
 
 
-def content_bruteforce(part: Partition) -> AtomSet:
-    """Scan every atom and keep the boundary-crossing ones.
-
-    Independent oracle for content(); capped at 16 outcomes.
-    """
-    space = part.space
-    if space.n > BRUTE_FORCE_MAX_N:
+def content_bruteforce(part: Partition) -> tuple[int, ...]:
+    """The boundary-crossing atoms, ascending, by a scan of every mask:
+    the independent oracle for content(), capped at 16 outcomes."""
+    if part.space.n > BRUTE_FORCE_MAX_N:
         raise CapacityError("brute-force content scan is capped at 16 outcomes")
-    atoms = frozenset(
-        m
-        for m in range(1, space.full_mask + 1)
-        if not non_entropic(m) and part.crosses(m)
-    )
-    return AtomSet(space, atoms)
+    return tuple(m for m in range(3, part.space.full_mask + 1) if part.crosses(m))
 
 
 def coinformation_content(parts: list[Partition]) -> Ideal:

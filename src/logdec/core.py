@@ -1,8 +1,9 @@
-"""Ground types: outcome spaces, distributions, bitmask atoms, atom sets, partitions.
+"""Ground types: outcome spaces, distributions, bitmask atoms, partitions.
 
 Atoms are plain Python ints used as bit patterns over the outcomes of one
 space: bit i set means outcome i belongs to the atom.  Everything that
-consumes atoms (AtomSet, Ideal, the measure) carries the space alongside.
+consumes atoms (Ideal, the measure) carries the space alongside; atom
+listings are ascending tuples of masks.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ class CapacityError(Exception):
 def degree(atom: int) -> int:
     """Number of outcomes in an atom bit pattern."""
     return atom.bit_count()
-
-
-def non_entropic(atom: int) -> bool:
-    """Empty and single-outcome patterns contribute no entropy."""
-    return atom.bit_count() < 2
 
 
 def atom_bits(atom: int) -> list[int]:
@@ -150,32 +146,6 @@ class Distribution(Value):
         return sum(self.weights[i] for i in atom_bits(atom))
 
 
-class AtomSet(Value):
-    """A finite set of atoms of degree >= 2 over one space."""
-
-    __slots__ = ("space", "atoms")
-
-    def __init__(self, space: OutcomeSpace, atoms: frozenset[int]):
-        atoms = frozenset(int(a) for a in atoms)
-        full = space.full_mask
-        for a in atoms:
-            if a & ~full:
-                raise ValueError("atom outside the outcome space")
-            if non_entropic(a):
-                raise ValueError("atom sets only hold atoms of degree >= 2")
-        self.space = space
-        self.atoms = atoms
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(sorted(self.atoms))
-
-    def __contains__(self, atom: int) -> bool:
-        return atom in self.atoms
-
-
 class Partition(Value):
     """A surjective block assignment of outcomes (a random variable).
 
@@ -236,15 +206,8 @@ class Partition(Value):
         return out
 
     def crosses(self, atom: int) -> bool:
-        """True when the atom has two members in distinct blocks."""
-        seen = -1
-        for i in atom_bits(atom):
-            b = self.block_of[i]
-            if seen == -1:
-                seen = b
-            elif b != seen:
-                return True
-        return False
+        """True when the atom fits inside no block: two members differ in block."""
+        return all(atom & ~b for b in self.block_masks)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
@@ -297,12 +260,9 @@ def all_partitions(space: OutcomeSpace):
         yield Partition(space, rgs)
 
 
-def enumerate_complex(space: OutcomeSpace) -> AtomSet:
-    """All atoms of degree >= 2 over the space: 2**n - n - 1 of them."""
-    atoms = frozenset(
-        m for m in range(1, space.full_mask + 1) if m.bit_count() >= 2
-    )
-    return AtomSet(space, atoms)
+def enumerate_complex(space: OutcomeSpace) -> tuple[int, ...]:
+    """All atoms of degree >= 2 over the space, ascending: 2**n - n - 1 of them."""
+    return tuple(m for m in range(3, space.full_mask + 1) if m.bit_count() >= 2)
 
 
 def common_refinement(a: Partition, b: Partition) -> Partition:

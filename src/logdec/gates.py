@@ -16,6 +16,7 @@ import math
 from typing import NamedTuple
 
 from .core import (
+    MAX_OUTCOMES,
     CapacityError,
     OutcomeSpace,
     Partition,
@@ -78,10 +79,17 @@ class GateClassification(NamedTuple):
     seed: int
 
 
-def build_gate(nx: int, ny: int, table) -> GateSystem:
-    """Gate system from a row-major output table of length nx * ny."""
+def _check_shape(nx: int, ny: int) -> None:
+    """Reject a gate shape before anything of size nx * ny is built."""
     if nx < 1 or ny < 1:
         raise ValueError("input alphabets need at least one symbol")
+    if nx * ny > MAX_OUTCOMES:
+        raise CapacityError(f"a {nx}x{ny} gate exceeds the cap of {MAX_OUTCOMES} outcomes")
+
+
+def build_gate(nx: int, ny: int, table) -> GateSystem:
+    """Gate system from a row-major output table of length nx * ny."""
+    _check_shape(nx, ny)
     table = tuple(table)
     if len(table) != nx * ny:
         raise ValueError(f"table must list {nx * ny} outputs, got {len(table)}")
@@ -103,6 +111,7 @@ def named_gate(spec: str) -> GateSystem:
             nx, ny = int(xs), int(ys)
         except ValueError:
             raise ValueError(f"bad gate shape {shape!r}, expected like 2x2") from None
+    _check_shape(nx, ny)
     pairs = [(i, j) for i in range(nx) for j in range(ny)]
     if name == "xor":
         if nx != ny:

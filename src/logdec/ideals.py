@@ -17,7 +17,6 @@ import itertools
 from typing import Iterable
 
 from .core import (
-    AtomSet,
     CapacityError,
     OutcomeSpace,
     Value,
@@ -181,11 +180,10 @@ class Ideal(Value):
         products = frozenset(g | h for g in self.generators for h in other.generators)
         return Ideal(self.space, products)
 
-    def enumerate(self) -> AtomSet:
-        """All atoms of degree >= 2 in the denoted upper-set."""
+    def enumerate(self) -> tuple[int, ...]:
+        """All atoms of the denoted upper-set, ascending."""
         full = self.space.full_mask
-        atoms = frozenset(a for g in self.generators for a in _supersets(g, full & ~g))
-        return AtomSet(self.space, atoms)
+        return tuple(sorted({a for g in self.generators for a in _supersets(g, full & ~g)}))
 
     def degree_profile(self) -> tuple[int, ...]:
         """Sorted degrees of the minimal generators."""

@@ -23,10 +23,9 @@ import functools
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
-    AtomSet,
     CapacityError,
     Distribution,
     Partition,
@@ -73,11 +72,10 @@ def mu_atom(dist: Distribution, atom: int) -> float:
     return total
 
 
-def mu_set(dist: Distribution, atom_set: AtomSet) -> float:
-    """Sum of mu over an atom set, in ascending bit-pattern order."""
-    if dist.space != atom_set.space:
-        raise ValueError("distribution and atom set live on different spaces")
-    return sum(mu_atom(dist, a) for a in atom_set)
+def mu_set(dist: Distribution, atoms: Iterable[int]) -> float:
+    """Sum of mu over any collection of atoms, in ascending bit-pattern
+    order; mu_atom rejects an atom outside the space or of degree below 2."""
+    return sum(mu_atom(dist, a) for a in sorted(atoms))
 
 
 def entropy(dist: Distribution, part: Partition) -> float:

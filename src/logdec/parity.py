@@ -8,7 +8,12 @@ same sign; ideals whose minimal generators mix even and odd degrees
 provably take both signs, and witness distributions for either sign are
 built by concentrating mass on one generator.
 Certification is sound but not complete: Undetermined is a first-class
-outcome and surveys still characterise such ideals empirically.
+outcome and surveys still characterise such ideals empirically.  Every
+peel order yields the same leaf expansion, so Undetermined means that its
+terms are not all of the target sign, or that the steps ran out before
+one expansion was done: the 2-variable ideals of the `structure`
+benchmark workload (40-87 pair generators on 16-20 outcomes) each spend
+all 10 000 steps, 55-77 ms in-process on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -119,8 +124,10 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
 
     Mixed-degree generators are immediately StronglyMixed.  Pure-parity
     generator sets are certified when an expansion search of at most
-    `budget` steps finds a uniformly signed leaf decomposition; otherwise,
-    including when the search runs out of steps or of stack, Undetermined.
+    `budget` steps finds a uniformly signed leaf decomposition.  That
+    decomposition is unique, so Undetermined means that its terms are not
+    all of the target sign, or that the search ran out of steps or of
+    stack before it finished one.
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has no parity")

@@ -1,5 +1,7 @@
 """The public surface: what `logdec` exports, and the README that shows it."""
 
+import importlib
+import importlib.util
 import inspect
 import re
 import types
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import logdec
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_has_no_duplicates_and_every_entry_resolves():
@@ -37,3 +40,14 @@ def test_benchmark_binds_these_parameters_by_name():
     # perfbench/spans.py reads these arguments by name from traced calls
     assert {"ideal", "budget"} <= set(inspect.signature(logdec.classify_parity).parameters)
     assert "samples" in inspect.signature(logdec.sign_survey).parameters
+    # The benchmark tracer skips a layer it cannot find and reports zero
+    # for it, so every traced (module, attribute) must resolve here.
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    for module_name, attr, name in spans.LAYERS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), name

@@ -254,6 +254,21 @@ class TestCoinfo:
         assert code == 2
         assert "unknown variable" in err
 
+    @pytest.mark.parametrize(
+        "shape, code, message",
+        [
+            ("30000x30000", 3, "cap of 24"),
+            ("99999999999999999999x1", 3, "cap of 24"),
+            ("-5x-5", 2, "at least one symbol"),
+        ],
+    )
+    def test_gate_shape_is_checked_before_its_cells_are_built(self, capsys, shape, code, message):
+        start = time.perf_counter()
+        got, _, err = run(capsys, "coinfo", "--gate", f"xor:{shape}")
+        assert got == code
+        assert message in err
+        assert time.perf_counter() - start < 1.0
+
     def test_structure_answers_up_to_the_space_cap(self, capsys, tmp_path):
         # The expansion needs no 2**n table, so `coinfo --structure` and
         # `witness` take as many outcomes as a space holds.

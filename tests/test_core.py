@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdec import (
-    AtomSet,
     CapacityError,
     Distribution,
     Ideal,
@@ -102,7 +101,6 @@ class TestValueSemantics:
                 Distribution(self.SPACE, (0.25, 0.75)),
                 Distribution(space=OutcomeSpace(2, ("a", "b")), weights=[0.25, 0.75]),
             ),
-            (AtomSet(self.SPACE, {0b11}), AtomSet(space=self.SPACE, atoms=[0b11])),
             (
                 Ideal(self.SPACE, frozenset({0b11})),
                 Ideal(space=self.SPACE, generators=frozenset({0b11})),
@@ -121,7 +119,6 @@ class TestValueSemantics:
         sp = self.SPACE
         assert OutcomeSpace(2) != sp
         assert Distribution(sp, (0.5, 0.5)) != Distribution(sp, (0.25, 0.75))
-        assert AtomSet(sp, {0b11}) != AtomSet(OutcomeSpace(2), {0b11})
         three = OutcomeSpace(3)
         assert Ideal(three, frozenset({0b011})) != Ideal(three, frozenset({0b101}))
         assert Partition(sp, (0, 1)) != Partition(sp, (0, 0))
@@ -129,8 +126,8 @@ class TestValueSemantics:
 
     def test_equality_is_same_type_only(self):
         sp = self.SPACE
-        assert AtomSet(sp, {0b11}) != Ideal(sp, frozenset({0b11}))
-        assert Ideal(sp, frozenset({0b11})) != AtomSet(sp, {0b11})
+        assert Ideal(sp, frozenset({0b11})) != frozenset({0b11})
+        assert Distribution(sp, (0.5, 0.5)) != Ideal(sp, frozenset({0b11}))
         assert sp != (2, ("a", "b"))
 
     def test_reprs_keep_their_form(self):
@@ -138,9 +135,6 @@ class TestValueSemantics:
         assert repr(sp) == "OutcomeSpace(n=2, labels=('a', 'b'))"
         assert repr(Distribution(sp, (0.25, 0.75))) == (
             "Distribution(space=OutcomeSpace(n=2, labels=('a', 'b')), weights=(0.25, 0.75))"
-        )
-        assert repr(AtomSet(sp, {0b11})) == (
-            "AtomSet(space=OutcomeSpace(n=2, labels=('a', 'b')), atoms=frozenset({3}))"
         )
         assert repr(Ideal(sp, frozenset({0b11}))) == "Ideal<ab>"
 
@@ -168,7 +162,12 @@ class TestEnumerateComplex:
 
     def test_smallest_space(self):
         sp = OutcomeSpace(2)
-        assert set(enumerate_complex(sp).atoms) == {0b11}
+        assert enumerate_complex(sp) == (0b11,)
+
+    def test_listing_is_an_ascending_tuple(self):
+        got = enumerate_complex(OutcomeSpace(6))
+        assert type(got) is tuple
+        assert list(got) == sorted(m for m in range(64) if bin(m).count("1") >= 2)
 
     def test_five_outcomes_count(self):
         assert len(enumerate_complex(OutcomeSpace(5))) == 26

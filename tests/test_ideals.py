@@ -67,14 +67,14 @@ class TestMembership:
 
 class TestEnumerate:
     def test_pair_on_three_outcomes(self):
-        assert ideal(3, "12").enumerate().atoms == {A("12"), A("123")}
+        assert ideal(3, "12").enumerate() == (A("12"), A("123"))
 
     def test_top_atom_alone(self):
-        assert ideal(4, "1234").enumerate().atoms == {A("1234")}
+        assert ideal(4, "1234").enumerate() == (A("1234"),)
 
     def test_two_pair_generators_give_six_atoms(self):
-        got = ideal(4, "12", "13").enumerate().atoms
-        assert got == {A("12"), A("13"), A("123"), A("124"), A("134"), A("1234")}
+        got = ideal(4, "12", "13").enumerate()
+        assert got == (A("12"), A("13"), A("123"), A("124"), A("134"), A("1234"))
 
 
 class TestAlgebra:
@@ -100,7 +100,7 @@ class TestAlgebra:
     def test_difference_examples(self):
         # set difference of enumerations; the result is not itself an ideal
         def minus(a, b):
-            return a.enumerate().atoms - b.enumerate().atoms
+            return set(a.enumerate()) - set(b.enumerate())
 
         assert minus(ideal(4, "123"), ideal(4, "1234")) == {A("123")}
         i = ideal(4, "12", "23")
@@ -134,8 +134,11 @@ class TestOracleEquivalence:
         n = 6
         sp = OutcomeSpace(n)
         i, j = Ideal.generated_by(sp, g1), Ideal.generated_by(sp, g2)
-        assert i.union(j).enumerate().atoms == brute_upper_set(g1, n) | brute_upper_set(g2, n)
-        assert i.intersection(j).enumerate().atoms == brute_upper_set(g1, n) & brute_upper_set(g2, n)
+        # listings are ascending tuples
+        union = brute_upper_set(g1, n) | brute_upper_set(g2, n)
+        meet = brute_upper_set(g1, n) & brute_upper_set(g2, n)
+        assert i.union(j).enumerate() == tuple(sorted(union))
+        assert i.intersection(j).enumerate() == tuple(sorted(meet))
 
     @given(generator_sets())
     @settings(max_examples=120, deadline=None)
@@ -143,7 +146,7 @@ class TestOracleEquivalence:
         sp = OutcomeSpace(6)
         i = Ideal.generated_by(sp, gens)
         # regenerate from the full upper-set: same antichain comes back
-        assert Ideal.generated_by(sp, i.enumerate().atoms) == i
+        assert Ideal.generated_by(sp, i.enumerate()) == i
 
     @given(generator_sets(), generator_sets(), st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)

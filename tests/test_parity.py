@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logdec import (
+    CapacityError,
     Distribution,
     Ideal,
     OutcomeSpace,
@@ -28,7 +29,9 @@ from logdec.parity import (
     CERTIFIED_ODD,
     STRONGLY_MIXED,
     UNDETERMINED,
+    _expansions,
 )
+from logdec.ideals import step_meter
 from logdec.measure import EQ_TOL
 
 from conftest import A, random_atom, random_distribution
@@ -180,6 +183,27 @@ class TestCertificates:
             else:
                 assert dict(pc.certificate) == leaves
         assert min(seen.values()) >= 10, seen
+
+    def test_every_expansion_of_an_ideal_is_the_first(self, rng):
+        # By the same independence, every peel order gives the same leaf
+        # expansion: once the first one is not uniformly signed, no later
+        # one is.
+        from conftest import random_ideal
+
+        several = 0
+        for _ in range(400):
+            the_ideal = random_ideal(rng, OutcomeSpace(int(rng.integers(3, 8))), 5)
+            spend = step_meter("the expansion test", cap=20_000)
+            found = []
+            try:
+                for leaves in _expansions(the_ideal.generators, spend):
+                    found.append(leaves)
+            except CapacityError:
+                pass
+            assert found, the_ideal
+            assert all(leaves == found[0] for leaves in found), the_ideal
+            several += len(found) > 1
+        assert several >= 100
 
     @pytest.mark.parametrize("the_ideal", [XOR_IDEAL, ideal(4, "12", "23"), ideal(5, "12", "23", "34")])
     def test_expansion_identity_holds_numerically(self, the_ideal, rng):
