@@ -7,97 +7,49 @@ upper-set (ideal) algebra that realises co-informations structurally,
 parity certificates that pin the sign of a quantity before any
 probabilities are chosen, witness constructions for mixed-parity
 systems, and an exhaustive census of deterministic two-input gates.
+
+The exports load lazily: `import logdec` imports no submodule, and
+`logdec.X` imports the module that defines X on first use (PEP 562).
 """
 
-from .core import (
-    CapacityError,
-    Distribution,
-    OutcomeSpace,
-    Partition,
-    all_partitions,
-    atom_bits,
-    common_coarsening,
-    common_refinement,
-    degree,
-    enumerate_complex,
-)
-from .ideals import Ideal, minimal_antichain
-from .measure import (
-    entropy,
-    merge_loss,
-    mu_atom,
-    mu_ideal,
-    mu_set,
-    mu_table,
-)
-from .contents import (
-    coinformation_content,
-    coinformation_numeric,
-    content,
-    content_bruteforce,
-    count_expressions,
-    ideal_to_variables,
-)
-from .parity import (
-    ParityClass,
-    SignSurvey,
-    Witness,
-    classify_parity,
-    sign_survey,
-    single_generator_sign,
-    witness_distributions,
-)
-from .gates import (
-    GateClassification,
-    GateSystem,
-    build_gate,
-    canonical_classes,
-    canonicalize,
-    census,
-    classify_gate,
-    named_gate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "Distribution",
-    "GateClassification",
-    "GateSystem",
-    "Ideal",
-    "OutcomeSpace",
-    "ParityClass",
-    "Partition",
-    "SignSurvey",
-    "Witness",
-    "all_partitions",
-    "atom_bits",
-    "build_gate",
-    "canonical_classes",
-    "canonicalize",
-    "census",
-    "classify_gate",
-    "classify_parity",
-    "coinformation_content",
-    "coinformation_numeric",
-    "common_coarsening",
-    "common_refinement",
-    "content",
-    "content_bruteforce",
-    "count_expressions",
-    "degree",
-    "entropy",
-    "enumerate_complex",
-    "ideal_to_variables",
-    "merge_loss",
-    "minimal_antichain",
-    "mu_atom",
-    "mu_ideal",
-    "mu_set",
-    "mu_table",
-    "named_gate",
-    "sign_survey",
-    "single_generator_sign",
-    "witness_distributions",
-]
+# Home module of every public name.
+_EXPORTS = {
+    "core": (
+        "CapacityError", "Distribution", "OutcomeSpace", "Partition", "all_partitions",
+        "atom_bits", "common_coarsening", "common_refinement", "degree",
+        "enumerate_complex",
+    ),
+    "ideals": ("Ideal", "minimal_antichain"),
+    "measure": ("entropy", "merge_loss", "mu_atom", "mu_ideal", "mu_set", "mu_table"),
+    "contents": (
+        "coinformation_content", "coinformation_numeric", "content", "content_bruteforce",
+        "count_expressions", "ideal_to_variables",
+    ),
+    "parity": (
+        "ParityClass", "SignSurvey", "Witness", "classify_parity", "sign_survey",
+        "single_generator_sign", "witness_distributions",
+    ),
+    "gates": (
+        "GateClassification", "GateSystem", "build_gate", "canonical_classes",
+        "canonicalize", "census", "classify_gate", "named_gate",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

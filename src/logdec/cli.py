@@ -22,20 +22,17 @@ import argparse
 import json
 import os
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .core import CapacityError, Distribution, OutcomeSpace, Partition, degree, enumerate_complex
-from .contents import (
-    check_variable_capacity,
-    coinformation_content,
-    coinformation_numeric,
-    content,
-)
-from .gates import build_gate, census, check_census_arguments, named_gate
-from .ideals import Ideal
-from .measure import entropy, mu_atom, mu_ideal
-from .parity import classify_parity, witness_distributions
+
+# Library modules are imported where a command uses them, so that each
+# process compiles only what it runs: `--version`, `--help` and argument
+# errors load none, and only the census and `--gate`/`--table` systems
+# load `gates`.
+if TYPE_CHECKING:
+    from .core import Distribution, OutcomeSpace, Partition
+    from .ideals import Ideal
 
 DECOMPOSE_MAX_N = 16
 SYSTEM_KEYS = {"outcomes", "p", "variables"}
@@ -64,6 +61,8 @@ def parse_system(text: str) -> System:
     Only the JSON shape is checked here; OutcomeSpace, Distribution and
     Partition check the values, and a partition's errors name its variable.
     """
+    from .core import Distribution, OutcomeSpace, Partition
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -107,6 +106,9 @@ def _load_system(args) -> System:
         except OSError as e:
             raise ValueError(f"cannot read {args.file}: {e.strerror}") from None
         return parse_system(text)
+    from .core import Distribution
+    from .gates import build_gate, named_gate
+
     if args.gate is not None:
         gate = named_gate(args.gate)
     elif args.nx is None or args.ny is None:
@@ -195,6 +197,10 @@ def _table(rows: list[list[str]], header: list[str]) -> list[str]:
 
 
 def cmd_decompose(args, argv) -> None:
+    from .contents import content
+    from .core import CapacityError, degree, enumerate_complex
+    from .measure import entropy, mu_atom, mu_ideal
+
     system = _load_system(args)
     dist = _require_distribution(system)
     space = system.space
@@ -229,6 +235,9 @@ def cmd_decompose(args, argv) -> None:
 
 
 def cmd_coinfo(args, argv) -> None:
+    from .contents import coinformation_content, coinformation_numeric
+    from .measure import mu_ideal
+
     system = _load_system(args)
     dist = _require_distribution(system)
     chosen = _pick_variables(system, args.variables)
@@ -242,6 +251,8 @@ def cmd_coinfo(args, argv) -> None:
     }
     lines = [f"co-information({', '.join(results['variables'])}) = {value:+.6f} bits"]
     if args.structure:
+        from .parity import classify_parity
+
         ideal = coinformation_content(parts)
         parity = None if ideal.is_empty else classify_parity(ideal)
         results["structure"] = {
@@ -269,6 +280,8 @@ def _survey_dict(survey) -> dict:
 
 
 def cmd_census(args, argv) -> None:
+    from .gates import census, check_census_arguments
+
     check_census_arguments(args.nx, args.ny, args.samples, args.seed)
     seed = args.seed
     if seed is None:
@@ -317,6 +330,9 @@ def cmd_census(args, argv) -> None:
 
 
 def cmd_witness(args, argv) -> None:
+    from .contents import check_variable_capacity, coinformation_content, coinformation_numeric
+    from .parity import witness_distributions
+
     system = _load_system(args)
     chosen = _pick_variables(system, args.variables)
     if len(chosen) < 2:
@@ -404,6 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .core import CapacityError
+
     try:
         args.func(args, argv)
         sys.stdout.flush()

@@ -25,6 +25,8 @@ def degree(atom: int) -> int:
 
 def atom_bits(atom: int) -> list[int]:
     """Outcome indices of an atom, ascending."""
+    if atom < 0:
+        raise ValueError("an atom is a nonnegative outcome mask")
     out = []
     i = 0
     while atom:

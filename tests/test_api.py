@@ -3,7 +3,11 @@
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -20,14 +24,39 @@ def test_all_has_no_duplicates_and_every_entry_resolves():
 
 
 def test_all_is_exactly_the_public_namespace():
-    # a name deleted from a module but left in __all__, or imported into
-    # the package and never exported, shows up here
+    # a name deleted from its home module but left in the export table, a
+    # name exported from a module that only imports it, or a public name
+    # bound in the package and never exported, shows up here
+    assert logdec.__all__ == sorted(logdec._HOME)
+    for name, module in logdec._HOME.items():
+        home = importlib.import_module(f"logdec.{module}")
+        assert getattr(vars(home)[name], "__module__", None) == home.__name__, name
+        assert getattr(logdec, name) is vars(home)[name]
+    # every export is resolved now, so the package namespace is complete
     public = {
         name
         for name, value in vars(logdec).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(logdec.__all__) == public
+    assert set(logdec.__all__) <= set(dir(logdec))
+
+
+def test_import_loads_no_submodule_and_every_export_resolves():
+    code = (
+        "import json, sys, logdec\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('logdec.'))\n"
+        "missing = [name for name in logdec.__all__ if not hasattr(logdec, name)]\n"
+        "print(json.dumps([loaded, missing]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(logdec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout
+    assert json.loads(out) == [[], []]
 
 
 def test_readme_quick_tour_runs_as_written():

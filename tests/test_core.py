@@ -12,6 +12,7 @@ from logdec import (
     OutcomeSpace,
     Partition,
     all_partitions,
+    atom_bits,
     coinformation_content,
     common_coarsening,
     common_refinement,
@@ -52,6 +53,15 @@ class TestOutcomeSpace:
     def test_multichar_labels_join_with_commas(self):
         sp = OutcomeSpace(2, labels=("on", "off"))
         assert sp.format_atom(0b11) == "on,off"
+
+    def test_negative_atom_rejected(self):
+        # -1 >> 1 is -1, so a bit loop over a negative mask never ends
+        with pytest.raises(ValueError, match="nonnegative"):
+            atom_bits(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            OutcomeSpace(3).format_atom(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Distribution.uniform(OutcomeSpace(3)).mass(-2)
 
 
 class TestDistribution:

@@ -2,7 +2,7 @@
 the census, and then with one BLAS thread; no command outside the
 census loads `secrets` (with `hmac`, `hashlib` and `base64`) or
 `inspect` (with `ast`, `dis` and `tokenize`), and no command loads
-`dataclasses`."""
+`dataclasses`.  Each command loads only the logdec modules it runs."""
 
 import json
 import os
@@ -21,7 +21,8 @@ PROBE = (
     "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
     "'threads': len(os.listdir('/proc/self/task'))}))"
 )
-# Runs the CLI, then reports on stderr which of these modules were ever imported.
+# Runs the CLI, then reports on stderr which of these modules were ever
+# imported, and which logdec modules.
 PROBED = ("numpy", "secrets", "inspect", "dataclasses")
 CLI_PROBE = (
     "import sys\n"
@@ -31,7 +32,15 @@ CLI_PROBE = (
     "except SystemExit:\n"
     "    pass\n"
     f"sys.stderr.write(' '.join(f'{{m}}={{m in sys.modules}}' for m in {PROBED!r}))\n"
+    "sys.stderr.write(' logdec=' + ','.join(sorted(m for m in sys.modules if m.startswith('logdec'))))\n"
 )
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# a strongly mixed system, so that witness runs to the end
+MIXED = str(GOLDEN / "system-20x4.json")
+FRONT = {"logdec", "logdec.cli"}
+ANALYSIS = FRONT | {"logdec.core", "logdec.ideals", "logdec.measure", "logdec.contents"}
+STRUCTURE = ANALYSIS | {"logdec.parity"}
+EVERY = STRUCTURE | {"logdec.gates"}
 
 
 def _blas_name() -> str:
@@ -61,6 +70,11 @@ def probe(**env_overrides) -> dict:
     return json.loads(_run(PROBE, **env_overrides).stdout)
 
 
+def probe_cli(*argv: str) -> dict:
+    report = _run(CLI_PROBE, *argv).stderr.rsplit("\n", 1)[-1]  # after the command's own lines
+    return dict(item.split("=") for item in report.split())
+
+
 @pytest.mark.parametrize(
     "argv, loads_numpy",
     [
@@ -72,13 +86,34 @@ def probe(**env_overrides) -> dict:
     ],
 )
 def test_only_the_census_imports_numpy(argv, loads_numpy):
-    report = _run(CLI_PROBE, *argv).stderr.rsplit("\n", 1)[-1]  # after the command's own lines
-    loaded = dict(item.split("=") for item in report.split())
+    loaded = probe_cli(*argv)
     assert loaded["numpy"] == str(loads_numpy)
     # the census needs numpy, whose core imports inspect and whose random imports secrets
     if not loads_numpy:
         assert loaded["secrets"] == loaded["inspect"] == "False"
     assert loaded["dataclasses"] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--version"], FRONT),
+        (["--help"], FRONT),
+        (["coinfo", "--bogus"], FRONT),
+        (["coinfo", "--file", MIXED], ANALYSIS),
+        (["coinfo", "--file", MIXED, "--structure"], STRUCTURE),
+        (["witness", "--file", MIXED], STRUCTURE),
+        (["decompose", "--file", str(GOLDEN / "system-12x2.json"), "--variable", "X"], ANALYSIS),
+        (["coinfo", "--gate", "or:2x2"], EVERY),
+        (["census", "--nx", "2", "--ny", "2", "--samples", "10", "--seed", "1"], EVERY),
+    ],
+    ids=["version", "help", "bad-argument", "coinfo", "coinfo-structure", "witness",
+         "decompose", "inline-gate", "census"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # no library module before the arguments parse, gates only for the
+    # census and inline gates, parity only for the structure and witnesses
+    assert set(probe_cli(*argv)["logdec"].split(",")) == modules
 
 
 class TestBlasThreads:
