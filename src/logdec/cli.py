@@ -280,7 +280,7 @@ def _survey_dict(survey) -> dict:
 
 
 def cmd_census(args, argv) -> None:
-    from .gates import census, check_census_arguments
+    from .gates import ALWAYS_NEGATIVE, census, check_census_arguments
 
     check_census_arguments(args.nx, args.ny, args.samples, args.seed)
     seed = args.seed
@@ -294,18 +294,18 @@ def cmd_census(args, argv) -> None:
             "table": list(c.table),
             "orbit_size": c.orbit_size,
             "generators": _format_generators(c.ideal),
-            "degrees": list(c.degree_profile),
+            "degrees": list(c.ideal.degree_profile()),
             "parity": c.parity.tag if c.parity else None,
             "survey": _survey_dict(c.survey),
             "verdict": c.verdict,
-            "seed": c.seed,
+            "seed": c.survey.seed,
         }
         for side, w in (("witness_positive", c.witness_positive),
                         ("witness_negative", c.witness_negative)):
             if w is not None:
                 row[side] = {"p": list(w.dist.weights), "mu": w.mu}
         rows.append(row)
-    negatives = sum(1 for c in classifications if c.verdict == "AlwaysNegative")
+    negatives = sum(1 for c in classifications if c.verdict == ALWAYS_NEGATIVE)
     results = {
         "nx": args.nx,
         "ny": args.ny,
@@ -325,7 +325,7 @@ def cmd_census(args, argv) -> None:
     ]
     lines = _table(text_rows, ["table", "degrees", "parity", "survey", "verdict"])
     lines.append("")
-    lines.append(f"AlwaysNegative classes: {negatives}")
+    lines.append(f"{ALWAYS_NEGATIVE} classes: {negatives}")
     _emit(args, argv, results, lines, seed)
 
 

@@ -19,6 +19,7 @@ from .core import (
     common_refinement,
     degree,
     first_occurrence_relabel,
+    same_space,
 )
 from .ideals import Ideal, minimal_transversals, step_meter
 from .measure import entropy
@@ -58,9 +59,7 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     """
     if not parts:
         raise ValueError("co-information needs at least one variable")
-    space = parts[0].space
-    if any(p.space != space for p in parts):
-        raise ValueError("variables live on different outcome spaces")
+    space = same_space(*parts)
     edges = [space.full_mask & ~b for p in parts for b in p.block_masks]
     spend = step_meter("the co-information content")
     ideal = Ideal.generated_by(space, minimal_transversals(edges, spend))

@@ -9,6 +9,7 @@ listings are ascending tuples of masks.
 from __future__ import annotations
 
 import math
+import operator
 
 MAX_OUTCOMES = 24
 NORMALIZATION_TOL = 1e-12
@@ -151,17 +152,21 @@ class Distribution(Value):
 class Partition(Value):
     """A surjective block assignment of outcomes (a random variable).
 
-    The input `block_of[i]` is the block index of outcome i; block
-    indices must be dense (0..block_count-1 with every block nonempty).
+    The input `block_of[i]` is the block index of outcome i: an integer
+    (numpy integers and bools included), and the indices must be dense
+    (0..k-1 with every block nonempty).
     Blocks are renumbered in order of first occurrence, so `block_of` is
     the partition's restricted-growth string: two labellings of the same
     blocks build equal partitions with the same `block_masks`.
     """
 
-    __slots__ = ("space", "block_of", "block_count", "block_masks")
+    __slots__ = ("space", "block_of", "block_masks")
 
     def __init__(self, space: OutcomeSpace, block_of):
-        block_of = tuple(int(b) for b in block_of)
+        try:
+            block_of = tuple(operator.index(b) for b in block_of)
+        except TypeError:
+            raise ValueError("block indices must be integers") from None
         if len(block_of) != space.n:
             raise ValueError("block assignment must cover every outcome")
         if any(b < 0 for b in block_of):
@@ -176,7 +181,6 @@ class Partition(Value):
             masks[b] |= 1 << i
         self.space = space
         self.block_of = block_of
-        self.block_count = count
         self.block_masks = tuple(masks)
 
     @classmethod
@@ -202,7 +206,7 @@ class Partition(Value):
         return cls(space, [0] * space.n)
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
+        out: list[list[int]] = [[] for _ in self.block_masks]
         for i, b in enumerate(self.block_of):
             out[b].append(i)
         return out
@@ -213,7 +217,7 @@ class Partition(Value):
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
-        _check_same_space(self, other)
+        same_space(self, other)
         return all(
             other.block_of[i] == other.block_of[j]
             for blk in self.blocks()
@@ -235,9 +239,12 @@ def first_occurrence_relabel(values) -> tuple[int, ...]:
     return tuple(seen.setdefault(v, len(seen)) for v in values)
 
 
-def _check_same_space(a, b) -> None:
-    if a.space != b.space:
+def same_space(*operands) -> OutcomeSpace:
+    """The one space of distributions, partitions or ideals; ValueError if they differ."""
+    space = operands[0].space
+    if any(x.space != space for x in operands[1:]):
         raise ValueError("operands live on different outcome spaces")
+    return space
 
 
 def restricted_growth_strings(m: int):
@@ -269,8 +276,7 @@ def enumerate_complex(space: OutcomeSpace) -> tuple[int, ...]:
 
 def common_refinement(a: Partition, b: Partition) -> Partition:
     """Coarsest partition finer than both: nonempty pairwise block intersections."""
-    _check_same_space(a, b)
-    return Partition(a.space, first_occurrence_relabel(zip(a.block_of, b.block_of)))
+    return Partition(same_space(a, b), first_occurrence_relabel(zip(a.block_of, b.block_of)))
 
 
 def common_coarsening(a: Partition, b: Partition) -> Partition:
@@ -279,8 +285,7 @@ def common_coarsening(a: Partition, b: Partition) -> Partition:
     Outcomes share a block exactly when they are connected through
     alternating a-block / b-block overlaps.
     """
-    _check_same_space(a, b)
-    n = a.space.n
+    n = same_space(a, b).n
     parent = list(range(n))
 
     def find(x: int) -> int:

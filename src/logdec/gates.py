@@ -29,6 +29,7 @@ from .measure import _numpy
 from .parity import (
     CERTIFIED_ODD,
     STRONGLY_MIXED,
+    SURVEY_MAX_SAMPLES,
     ParityClass,
     SignSurvey,
     Witness,
@@ -37,12 +38,10 @@ from .parity import (
     witness_distributions,
 )
 
-CLASSIFY_MAX_CELLS = 12
 CENSUS_MAX_SIDE = 3
-# On a 2-core VM a 3x3 census at the cap takes about 70 s and peaks at
-# 65 MB of RSS (52 MB at 1000 samples); each class's sample matrix grows
-# linearly in the sample count, so 10**9 would need tens of gigabytes.
-CENSUS_MAX_SAMPLES = 100_000
+# canonicalize lists all nx! * ny! input permutations: on a 2-core VM 2x8
+# (80 640) took 0.4-0.7 s and 34 MB, 3x8 (241 920) 1.7-2.9 s and 135 MB.
+CANONICAL_MAX_MAPS = 100_000
 
 ALWAYS_NEGATIVE = "AlwaysNegative"
 ALWAYS_NONNEGATIVE_OR_ZERO = "AlwaysNonnegativeOrZero"
@@ -70,13 +69,11 @@ class GateClassification(NamedTuple):
     table: tuple[int, ...]
     orbit_size: int
     ideal: Ideal
-    degree_profile: tuple[int, ...]
     parity: ParityClass | None
     survey: SignSurvey
     verdict: str
     witness_positive: Witness | None
     witness_negative: Witness | None
-    seed: int
 
 
 def _check_shape(nx: int, ny: int) -> None:
@@ -155,6 +152,8 @@ def _orbit(table, perms) -> set[tuple[int, ...]]:
 def canonicalize(gate: GateSystem) -> tuple[int, ...]:
     """Lexicographically minimal table over row/column permutations and
     output relabelling; equal exactly for isomorphic gates."""
+    if math.factorial(gate.nx) * math.factorial(gate.ny) > CANONICAL_MAX_MAPS:
+        raise CapacityError(f"canonical forms are capped at {CANONICAL_MAX_MAPS} input maps")
     return min(_orbit(gate.table, _input_permutations(gate.nx, gate.ny)))
 
 
@@ -165,10 +164,6 @@ def classify_gate(
     orbit_size: int = 1,
 ) -> GateClassification:
     """Classify one gate: triple ideal, parity, survey, witnesses, verdict."""
-    if gate.nx * gate.ny > CLASSIFY_MAX_CELLS:
-        raise CapacityError(
-            f"gate classification is capped at {CLASSIFY_MAX_CELLS} joint outcomes"
-        )
     ideal = coinformation_content([gate.x, gate.y, gate.z])
     survey = sign_survey(ideal, samples, seed)
     parity_class: ParityClass | None = None
@@ -207,18 +202,18 @@ def classify_gate(
         table=first_occurrence_relabel(gate.table),
         orbit_size=orbit_size,
         ideal=ideal,
-        degree_profile=ideal.degree_profile(),
         parity=parity_class,
         survey=survey,
         verdict=verdict,
         witness_positive=witness_positive,
         witness_negative=witness_negative,
-        seed=seed,
     )
 
 
 def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     """Canonical gate tables with orbit sizes, covering every output structure."""
+    _check_shape(nx, ny)
+    _check_census_sides(nx, ny)
     perms = _input_permutations(nx, ny)
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -232,6 +227,12 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     return classes
 
 
+def _check_census_sides(nx: int, ny: int) -> None:
+    """Refuse a census side above the cap: 4x4 has Bell(16) ~ 1e10 tables."""
+    if nx > CENSUS_MAX_SIDE or ny > CENSUS_MAX_SIDE:
+        raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
+
+
 def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> None:
     """Reject census arguments before any work: ValueError below the
     minimum (a seed may be None, for one still to be drawn),
@@ -242,10 +243,9 @@ def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> 
         raise ValueError("surveys need at least one sample")
     if seed is not None and seed < 0:
         raise ValueError("census seeds must be nonnegative")
-    if nx > CENSUS_MAX_SIDE or ny > CENSUS_MAX_SIDE:
-        raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
-    if samples > CENSUS_MAX_SAMPLES:
-        raise CapacityError(f"census surveys are capped at {CENSUS_MAX_SAMPLES} samples")
+    _check_census_sides(nx, ny)
+    if samples > SURVEY_MAX_SAMPLES:
+        raise CapacityError(f"census surveys are capped at {SURVEY_MAX_SAMPLES} samples")
 
 
 def census(

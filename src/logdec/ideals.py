@@ -22,6 +22,7 @@ from .core import (
     Value,
     atom_bits,
     degree,
+    same_space,
 )
 
 
@@ -172,13 +173,12 @@ class Ideal(Value):
         return any(g & atom == g for g in self.generators)
 
     def union(self, other: "Ideal") -> "Ideal":
-        self._check(other)
-        return Ideal(self.space, self.generators | other.generators)
+        return Ideal(same_space(self, other), self.generators | other.generators)
 
     def intersection(self, other: "Ideal") -> "Ideal":
-        self._check(other)
+        space = same_space(self, other)
         products = frozenset(g | h for g in self.generators for h in other.generators)
-        return Ideal(self.space, products)
+        return Ideal(space, products)
 
     def enumerate(self) -> tuple[int, ...]:
         """All atoms of the denoted upper-set, ascending."""
@@ -206,10 +206,6 @@ class Ideal(Value):
 
     def sorted_generators(self) -> list[int]:
         return sorted(self.generators, key=lambda g: (degree(g), g))
-
-    def _check(self, other: "Ideal") -> None:
-        if self.space != other.space:
-            raise ValueError("ideals live on different outcome spaces")
 
     def __repr__(self) -> str:
         gens = ", ".join(self.space.format_atom(g) for g in self.sorted_generators())

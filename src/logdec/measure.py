@@ -32,6 +32,7 @@ from .core import (
     atom_bits,
     degree,
     first_occurrence_relabel,
+    same_space,
 )
 from .ideals import Ideal, step_meter
 
@@ -80,6 +81,7 @@ def mu_set(dist: Distribution, atoms: Iterable[int]) -> float:
 
 def entropy(dist: Distribution, part: Partition) -> float:
     """Shannon entropy of a variable in bits; requires a normalized distribution."""
+    same_space(dist, part)
     if not dist.normalized:
         raise ValueError("entropy requires a normalized distribution")
     total = 0.0
@@ -239,8 +241,7 @@ def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
     Masses are added in ascending outcome order, and the terms are summed
     with math.fsum.
     """
-    if dist.space != ideal.space:
-        raise ValueError("distribution and ideal live on different spaces")
+    same_space(dist, ideal)
     w = dist.weights
     terms = []
     for u, c in _ideal_expansion(ideal):

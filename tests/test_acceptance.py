@@ -222,7 +222,7 @@ def test_criterion_5_gate_census_uniqueness():
             if (
                 nonconstant
                 and c.verdict != ALWAYS_NEGATIVE
-                and 2 not in c.degree_profile
+                and 2 not in c.ideal.degree_profile()
                 and c.verdict != ZERO_COINFORMATION
             ):
                 problems.append(f"{nx}x{ny} {c.table}: no pair generator")

@@ -261,6 +261,15 @@ class TestCoinformation:
         with pytest.raises(ValueError, match="different outcome spaces"):
             coinformation_content([x, y])
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_numeric_route_rejects_variables_from_another_space(self, n):
+        sp = OutcomeSpace(3)
+        dist = Distribution.uniform(sp)
+        other = Partition.discrete(OutcomeSpace(n))
+        for parts in ([other, other], [Partition.discrete(sp), other]):
+            with pytest.raises(ValueError, match="different outcome spaces"):
+                coinformation_numeric(dist, parts)
+
     def test_pair_splitters_give_one_outcome_per_pair(self):
         # Variable j splits the pair {2j, 2j+1} from the rest; a mask
         # crosses every variable when it holds one outcome of each pair.

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(sp, [0, 1])
 
+    def test_block_indices_must_be_integers(self):
+        sp = OutcomeSpace(3)
+        for block_of in ([0, 1.5, 2.9], [0, 1.7, 1], [0, 1.0, 2], ["0", "1", "1"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                Partition(sp, block_of)
+        assert Partition(sp, np.array([0, 1, 1])).block_of == (0, 1, 1)
+        assert Partition(sp, [np.int8(1), np.uint64(0), np.int64(1)]).block_of == (0, 1, 0)
+        assert Partition(sp, [False, True, True]).block_of == (0, 1, 1)
+
     def test_a_huge_block_index_is_rejected_before_any_range_is_built(self):
         # A range over the indices up to 10**6 would take tens of MB.
         sp = OutcomeSpace(2)
@@ -278,12 +288,21 @@ class TestRefinementAndCoarsening:
         assert common_coarsening(p, p) == p
 
     def test_space_mismatch_rejected(self):
-        a = Partition.discrete(OutcomeSpace(3))
-        b = Partition.discrete(OutcomeSpace(4))
-        with pytest.raises(ValueError):
-            common_refinement(a, b)
-        with pytest.raises(ValueError):
-            common_coarsening(a, b)
+        # every pairing of values goes through one check with one message
+        small, large = OutcomeSpace(3), OutcomeSpace(4)
+        a, b = Partition.discrete(small), Partition.discrete(large)
+        i, j = Ideal.generated_by(small, [0b11]), Ideal.generated_by(large, [0b11])
+        pairings = [
+            lambda: common_refinement(a, b),
+            lambda: common_coarsening(a, b),
+            lambda: a.refines(b),
+            lambda: i.union(j),
+            lambda: i.intersection(j),
+            lambda: mu_ideal(Distribution.uniform(small), j),
+        ]
+        for pairing in pairings:
+            with pytest.raises(ValueError, match="^operands live on different outcome spaces$"):
+                pairing()
 
     @given(st.integers(0, 10**9), st.integers(2, 8))
     @settings(max_examples=80, deadline=None)

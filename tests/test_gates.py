@@ -19,6 +19,7 @@ from logdec import (
 from logdec.gates import (
     ALWAYS_NEGATIVE,
     ALWAYS_NONNEGATIVE_OR_ZERO,
+    CANONICAL_MAX_MAPS,
     MIXED_SIGN,
     ZERO_COINFORMATION,
     expected_class_total,
@@ -71,6 +72,33 @@ class TestCanonicalize:
         canon = canonicalize(g)
         assert canonicalize(build_gate(2, 2, canon)) == canon
 
+    @pytest.fixture
+    def unbuilt_permutations(self, monkeypatch):
+        # A refusal must come before the permutation list: 2x12 would list
+        # about 9.6e8 maps, and 4x4 has Bell(16) ~ 1e10 output structures.
+        def listed(nx, ny):
+            raise AssertionError(f"the {nx}x{ny} permutation list was built")
+
+        monkeypatch.setattr("logdec.gates._input_permutations", listed)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 12), (12, 2), (1, 9), (3, 8)])
+    def test_canonicalize_refuses_a_large_input_group(self, unbuilt_permutations, nx, ny):
+        with pytest.raises(CapacityError, match="capped at 100000 input maps"):
+            canonicalize(build_gate(nx, ny, [0] * (nx * ny)))
+
+    @pytest.mark.parametrize("nx, ny", [(1, 12), (4, 4), (4, 1)])
+    def test_canonical_classes_applies_the_census_side_cap(self, unbuilt_permutations, nx, ny):
+        with pytest.raises(CapacityError, match="census sides are capped"):
+            canonical_classes(nx, ny)
+
+    def test_canonicalize_up_to_the_group_cap(self):
+        # 2x8 lists 2! * 8! = 80 640 maps, the largest group under the cap
+        assert math.factorial(2) * math.factorial(8) <= CANONICAL_MAX_MAPS
+        g = build_gate(2, 8, [0, 1, 0, 1, 2, 2, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1])
+        canon = canonicalize(g)
+        assert canon == canonicalize(build_gate(2, 8, canon))
+        assert canon[0] == 0 and sorted(set(canon)) == [0, 1, 2]
+
     def test_orbit_sizes_divide_the_input_group(self):
         for nx, ny in [(2, 2), (3, 2)]:
             group = math.factorial(nx) * math.factorial(ny)
@@ -117,9 +145,13 @@ class TestClassifyGate:
         pair = (1 << 0) | (1 << 4)  # cells (0,0) and (1,1)
         assert pair in gc.ideal.generators
 
-    def test_cell_capacity(self):
-        with pytest.raises(CapacityError):
-            classify_gate(build_gate(4, 4, [0] * 16))
+    def test_gates_up_to_the_space_cap_classify(self):
+        assert classify_gate(named_gate("xor:4x4"), samples=200, seed=1).verdict == MIXED_SIGN
+        gc = classify_gate(named_gate("copyx:4x6"), samples=200, seed=1)
+        assert gc.verdict == ALWAYS_NONNEGATIVE_OR_ZERO and gc.survey.samples == 200
+        table = [(7 * i + i // 5) % 3 for i in range(24)]
+        gc = classify_gate(build_gate(2, 12, table), samples=200, seed=1)
+        assert gc.verdict == MIXED_SIGN and gc.witness_negative.mu < 0
 
 
 class TestCensus:

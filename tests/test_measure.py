@@ -123,6 +123,14 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(Distribution(sp, (0.5, 0.6)), Partition.discrete(sp))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_partition_from_another_space_rejected(self, n):
+        # a larger space indexed past the weights, a smaller one gave a
+        # wrong number (1.0566 bits for the uniform triple's two outcomes)
+        dist = Distribution.uniform(OutcomeSpace(3))
+        with pytest.raises(ValueError, match="different outcome spaces"):
+            entropy(dist, Partition.discrete(OutcomeSpace(n)))
+
 
 class TestMergeLoss:
     def test_merging_two_of_uniform_four(self):

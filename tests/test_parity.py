@@ -28,6 +28,7 @@ from logdec.parity import (
     CERTIFIED_EVEN,
     CERTIFIED_ODD,
     STRONGLY_MIXED,
+    SURVEY_MAX_SAMPLES,
     UNDETERMINED,
     _expansions,
 )
@@ -75,12 +76,12 @@ def _single_generator_mu_60_digits(weights, generator):
 class TestClassification:
     def test_adjacent_pairs_certify_even(self):
         pc = classify_parity(ideal(4, "12", "23"))
-        assert pc.tag == CERTIFIED_EVEN and pc.parity == 1
+        assert pc.tag == CERTIFIED_EVEN
         assert dict(pc.certificate) == {A("12"): 1, A("23"): 1, A("123"): -1}
 
     def test_all_triples_certify_odd_with_the_known_expansion(self):
         pc = classify_parity(XOR_IDEAL)
-        assert pc.tag == CERTIFIED_ODD and pc.parity == -1
+        assert pc.tag == CERTIFIED_ODD
         assert dict(pc.certificate) == {
             A("123"): 1,
             A("124"): 1,
@@ -448,11 +449,17 @@ class TestSurveys:
             sign_survey(OR_IDEAL, 0, seed=1)
 
     def test_counts_must_add_up(self):
+        # zero is derived from the other counts, so no record can disagree
         sv = sign_survey(OR_IDEAL, 20, seed=1)
-        fields = sv._asdict()
-        assert SignSurvey(**fields) == sv
-        fields["zero"] += 1
-        with pytest.raises(ValueError, match="add up"):
-            SignSurvey(**fields)
-        with pytest.raises(ValueError, match="add up"):
-            SignSurvey(3, 1, 1, 0, 0.0, 0.0, (), (), 0)
+        assert SignSurvey(**sv._asdict()) == sv
+        assert "zero" not in sv._fields
+        assert sv.positive + sv.negative + sv.zero == sv.samples
+        assert SignSurvey(3, 1, 1, 0.0, 0.0, (), (), 0).zero == 1
+
+    def test_sample_cap_is_checked_before_drawing(self, monkeypatch):
+        def draw():
+            raise AssertionError("numpy was asked for samples beyond the cap")
+
+        monkeypatch.setattr("logdec.parity._numpy", draw)
+        with pytest.raises(CapacityError, match="capped at 100000 samples"):
+            sign_survey(OR_IDEAL, SURVEY_MAX_SAMPLES + 1, seed=1)
