@@ -145,6 +145,13 @@ class TestClassifyGate:
         pair = (1 << 0) | (1 << 4)  # cells (0,0) and (1,1)
         assert pair in gc.ideal.generators
 
+    def test_cell_capacity(self):
+        # the one cell cap a classification meets is the gate's own
+        with pytest.raises(CapacityError, match="exceeds the cap of 24 outcomes"):
+            classify_gate(build_gate(5, 5, [0] * 25))
+        with pytest.raises(CapacityError, match="exceeds the cap of 24 outcomes"):
+            named_gate("xor:1x25")
+
     def test_gates_up_to_the_space_cap_classify(self):
         assert classify_gate(named_gate("xor:4x4"), samples=200, seed=1).verdict == MIXED_SIGN
         gc = classify_gate(named_gate("copyx:4x6"), samples=200, seed=1)
