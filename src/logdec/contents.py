@@ -62,7 +62,7 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     space = same_space(*parts)
     edges = [space.full_mask & ~b for p in parts for b in p.block_masks]
     spend = step_meter("the co-information content")
-    ideal = Ideal.generated_by(space, minimal_transversals(edges, spend))
+    ideal = Ideal._of_antichain(space, minimal_transversals(edges, spend))
     bound = max(2, len(parts))
     worst = max((degree(g) for g in ideal.generators), default=0)
     if worst > bound:

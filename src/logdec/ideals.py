@@ -138,6 +138,17 @@ def minimal_transversals(edges: list[int], spend) -> list[int]:
     return transversals
 
 
+def _checked(space: OutcomeSpace, generators: frozenset[int]) -> frozenset[int]:
+    """The generators, once each is known to be an atom of the space."""
+    full = space.full_mask
+    for g in generators:
+        if degree(g) < 2:
+            raise ValueError("ideals are generated by atoms of degree >= 2")
+        if g & ~full:
+            raise ValueError("generator outside the outcome space")
+    return generators
+
+
 class Ideal(Value):
     """Upward-closed atom set, stored as its minimal generating antichain.
 
@@ -147,18 +158,21 @@ class Ideal(Value):
     __slots__ = ("space", "generators")
 
     def __init__(self, space: OutcomeSpace, generators: frozenset[int]):
-        full = space.full_mask
-        for g in generators:
-            if degree(g) < 2:
-                raise ValueError("ideals are generated by atoms of degree >= 2")
-            if g & ~full:
-                raise ValueError("generator outside the outcome space")
         self.space = space
-        self.generators = minimal_antichain(generators)
+        self.generators = minimal_antichain(_checked(space, generators))
 
     @classmethod
     def generated_by(cls, space: OutcomeSpace, atoms: Iterable[int]) -> "Ideal":
         return cls(space, frozenset(atoms))
+
+    @classmethod
+    def _of_antichain(cls, space: OutcomeSpace, antichain: Iterable[int]) -> "Ideal":
+        """The ideal of a known minimal antichain, such as the minimal
+        transversals of a Berge pass: checked, but not reduced again."""
+        ideal = cls.__new__(cls)
+        ideal.space = space
+        ideal.generators = _checked(space, frozenset(antichain))
+        return ideal
 
     @classmethod
     def empty(cls, space: OutcomeSpace) -> "Ideal":

@@ -238,16 +238,13 @@ def mu_ideal_batch(weight_rows: np.ndarray, ideal: Ideal) -> np.ndarray:
 def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
     """Measure of an ideal: the sum of mu over its denoted atoms.
 
-    Masses are added in ascending outcome order, and the terms are summed
-    with math.fsum.
+    Each mass is Distribution.mass, added in ascending outcome order, and
+    the terms are summed with math.fsum.
     """
     same_space(dist, ideal)
-    w = dist.weights
     terms = []
     for u, c in _ideal_expansion(ideal):
-        m = 0.0
-        for i in atom_bits(u):
-            m += w[i]
+        m = dist.mass(u)
         if m > 0.0:
             terms.append(c * (m * math.log2(m)))
     return math.fsum(terms)

@@ -11,9 +11,15 @@ Certification is sound but not complete: Undetermined is a first-class
 outcome and surveys still characterise such ideals empirically.  Every
 peel order yields the same leaf expansion, so Undetermined means that its
 terms are not all of the target sign, or that the steps ran out before
-one expansion was done: the 2-variable ideals of the `structure`
-benchmark workload (40-87 pair generators on 16-20 outcomes) each spend
-all 10 000 steps, 55-77 ms in-process on a 2-vCPU Xeon VM.
+one expansion was done: the five 2-variable ideals of the seed-1
+`structure` benchmark workload (40-87 pair generators on 16-20 outcomes)
+never finish one and each spend all 10 000 steps, 55-77 ms in-process on
+a 2-vCPU Xeon VM.  Every pure-parity census ideal finishes its one
+expansion within 736 steps: 4 at 2x2 (10 for XOR, which it certifies),
+22-40 at 2x3 and 412-736 at 3x3.  The search then spends the rest of its
+steps deriving the same expansion under other peel orders: 8.1 of the
+8.3 s of parity search in an in-process seed-1 census of the three
+shapes on that VM.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import logdec
-from logdec.cli import main, parse_system
+from logdec.cli import main
+from logdec.commands import parse_system
 
 SRC = str(Path(logdec.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -2,7 +2,9 @@
 the census, and then with one BLAS thread; no command outside the
 census loads `secrets` (with `hmac`, `hashlib` and `base64`) or
 `inspect` (with `ast`, `dis` and `tokenize`), and no command loads
-`dataclasses`.  Each command loads only the logdec modules it runs."""
+`dataclasses`.  Each command loads only the logdec modules it runs, and
+`--version`, `--help` and argument errors load neither `json` nor
+`logdec.commands`."""
 
 import json
 import os
@@ -23,7 +25,7 @@ PROBE = (
 )
 # Runs the CLI, then reports on stderr which of these modules were ever
 # imported, and which logdec modules.
-PROBED = ("numpy", "secrets", "inspect", "dataclasses")
+PROBED = ("numpy", "secrets", "inspect", "dataclasses", "json")
 CLI_PROBE = (
     "import sys\n"
     "from logdec.cli import main\n"
@@ -38,7 +40,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # a strongly mixed system, so that witness runs to the end
 MIXED = str(GOLDEN / "system-20x4.json")
 FRONT = {"logdec", "logdec.cli"}
-ANALYSIS = FRONT | {"logdec.core", "logdec.ideals", "logdec.measure", "logdec.contents"}
+ANALYSIS = FRONT | {
+    "logdec.commands", "logdec.core", "logdec.ideals", "logdec.measure", "logdec.contents",
+}
 STRUCTURE = ANALYSIS | {"logdec.parity"}
 EVERY = STRUCTURE | {"logdec.gates"}
 
@@ -111,9 +115,13 @@ def test_only_the_census_imports_numpy(argv, loads_numpy):
          "decompose", "inline-gate", "census"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
-    # no library module before the arguments parse, gates only for the
-    # census and inline gates, parity only for the structure and witnesses
-    assert set(probe_cli(*argv)["logdec"].split(",")) == modules
+    # no commands or library module before the arguments parse, gates only
+    # for the census and inline gates, parity only for the structure and
+    # witnesses
+    loaded = probe_cli(*argv)
+    assert set(loaded["logdec"].split(",")) == modules
+    # json comes in with `commands`, for the reports and system files
+    assert loaded["json"] == str(modules != FRONT)
 
 
 class TestBlasThreads:
