@@ -101,7 +101,10 @@ def _load_system(args) -> System:
     elif args.nx is None or args.ny is None:
         raise ValueError("--table needs --nx and --ny")
     else:
-        gate = build_gate(args.nx, args.ny, [c.strip() for c in args.table.split(",")])
+        cells = [c.strip() for c in args.table.split(",")]
+        if "" in cells:
+            raise ValueError("--table has an empty cell")
+        gate = build_gate(args.nx, args.ny, cells)
     variables = {"X": gate.x, "Y": gate.y, "Z": gate.z}
     return System(gate.space, Distribution.uniform(gate.space), variables)
 

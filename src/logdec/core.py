@@ -82,6 +82,8 @@ class OutcomeSpace(Value):
             labels = tuple(str(i + 1) for i in range(n))
         if len(labels) != n:
             raise ValueError("label count must match outcome count")
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ValueError("outcome labels must be strings")
         if len(set(labels)) != n:
             raise ValueError("outcome labels must be unique")
         self.n = n
@@ -102,6 +104,20 @@ class OutcomeSpace(Value):
         mask = 0
         for lab in labels:
             mask |= 1 << self.index_of(lab)
+        return mask
+
+    def check_atom(self, atom) -> int:
+        """The atom as an int mask, once it is an atom of this space: a
+        mask of degree >= 2 inside the space.  Any integer passes (numpy's
+        included); anything else is a ValueError."""
+        try:
+            mask = operator.index(atom)
+        except TypeError:
+            raise ValueError(f"an atom is an integer mask, got {atom!r}") from None
+        if mask < 0 or mask >> self.n:
+            raise ValueError("atom outside the outcome space")
+        if mask.bit_count() < 2:
+            raise ValueError("atoms have degree >= 2")
         return mask
 
     def format_atom(self, atom: int) -> str:
@@ -206,10 +222,7 @@ class Partition(Value):
         return cls(space, [0] * space.n)
 
     def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.block_masks]
-        for i, b in enumerate(self.block_of):
-            out[b].append(i)
-        return out
+        return [atom_bits(m) for m in self.block_masks]
 
     def crosses(self, atom: int) -> bool:
         """True when the atom fits inside no block: two members differ in block."""
@@ -217,12 +230,7 @@ class Partition(Value):
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
-        same_space(self, other)
-        return all(
-            other.block_of[i] == other.block_of[j]
-            for blk in self.blocks()
-            for i, j in zip(blk, blk[1:])
-        )
+        return common_refinement(self, other) == self
 
     def __repr__(self) -> str:
         blocks = ["{" + ",".join(self.space.labels[i] for i in blk) + "}" for blk in self.blocks()]
@@ -283,24 +291,17 @@ def common_coarsening(a: Partition, b: Partition) -> Partition:
     """Finest partition coarser than both.
 
     Outcomes share a block exactly when they are connected through
-    alternating a-block / b-block overlaps.
+    alternating a-block / b-block overlaps: starting from the blocks of
+    a, each block of b absorbs every merged block it meets.
     """
-    n = same_space(a, b).n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (a, b):
-        for blk in part.blocks():
-            for i, j in zip(blk, blk[1:]):
-                union(i, j)
-    return Partition(a.space, first_occurrence_relabel(find(i) for i in range(n)))
+    space = same_space(a, b)
+    merged = list(a.block_masks)
+    for blk in b.block_masks:
+        rest = []
+        for m in merged:
+            if m & blk:
+                blk |= m
+            else:
+                rest.append(m)
+        merged = rest + [blk]
+    return Partition.from_blocks(space, map(atom_bits, merged))

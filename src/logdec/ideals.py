@@ -14,6 +14,7 @@ non-members; co-information contents take the second direction.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable
 
 from .core import (
@@ -35,7 +36,7 @@ def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
     shorter: looking up its 2**degree submasks, or scanning those kept
     patterns.
     """
-    patterns = {int(a) for a in atoms}
+    patterns = {operator.index(a) for a in atoms}
     if len(patterns) < 2:
         return frozenset(patterns)
     keep: set[int] = set()
@@ -138,17 +139,6 @@ def minimal_transversals(edges: list[int], spend) -> list[int]:
     return transversals
 
 
-def _checked(space: OutcomeSpace, generators: frozenset[int]) -> frozenset[int]:
-    """The generators, once each is known to be an atom of the space."""
-    full = space.full_mask
-    for g in generators:
-        if degree(g) < 2:
-            raise ValueError("ideals are generated by atoms of degree >= 2")
-        if g & ~full:
-            raise ValueError("generator outside the outcome space")
-    return generators
-
-
 class Ideal(Value):
     """Upward-closed atom set, stored as its minimal generating antichain.
 
@@ -159,7 +149,7 @@ class Ideal(Value):
 
     def __init__(self, space: OutcomeSpace, generators: frozenset[int]):
         self.space = space
-        self.generators = minimal_antichain(_checked(space, generators))
+        self.generators = minimal_antichain(space.check_atom(g) for g in generators)
 
     @classmethod
     def generated_by(cls, space: OutcomeSpace, atoms: Iterable[int]) -> "Ideal":
@@ -171,7 +161,7 @@ class Ideal(Value):
         transversals of a Berge pass: checked, but not reduced again."""
         ideal = cls.__new__(cls)
         ideal.space = space
-        ideal.generators = _checked(space, frozenset(antichain))
+        ideal.generators = frozenset(space.check_atom(g) for g in antichain)
         return ideal
 
     @classmethod

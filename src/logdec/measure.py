@@ -30,7 +30,6 @@ from .core import (
     Distribution,
     Partition,
     atom_bits,
-    degree,
     first_occurrence_relabel,
     same_space,
 )
@@ -47,17 +46,12 @@ _TABLE_MAX_N = 20
 def mu_atom(dist: Distribution, atom: int) -> float:
     """Measure of one atom under the given weights.
 
-    Normalization is not required.  Raises ValueError on atoms of degree
-    below 2 or outside the space.  Returns exactly 0.0 when any member
-    weight is zero.
+    Normalization is not required.  Raises ValueError on anything that
+    is not an atom of the space (OutcomeSpace.check_atom).  Returns
+    exactly 0.0 when any member weight is zero.
     """
-    if atom >> dist.space.n:
-        raise ValueError("atom outside the outcome space")
-    d = degree(atom)
-    if d < 2:
-        raise ValueError("the measure is defined on atoms of degree >= 2")
-    members = atom_bits(atom)
-    w = [dist.weights[i] for i in members]
+    w = [dist.weights[i] for i in atom_bits(dist.space.check_atom(atom))]
+    d = len(w)
     if any(x == 0.0 for x in w):
         return 0.0
     total = 0.0
@@ -74,9 +68,10 @@ def mu_atom(dist: Distribution, atom: int) -> float:
 
 
 def mu_set(dist: Distribution, atoms: Iterable[int]) -> float:
-    """Sum of mu over any collection of atoms, in ascending bit-pattern
-    order; mu_atom rejects an atom outside the space or of degree below 2."""
-    return sum(mu_atom(dist, a) for a in sorted(atoms))
+    """Sum of mu over the set of the given atoms, each counted once, in
+    ascending bit-pattern order; anything that is not an atom of the
+    space is a ValueError."""
+    return sum(mu_atom(dist, a) for a in sorted({dist.space.check_atom(a) for a in atoms}))
 
 
 def entropy(dist: Distribution, part: Partition) -> float:
@@ -95,10 +90,7 @@ def entropy(dist: Distribution, part: Partition) -> float:
 def merge_loss(dist: Distribution, atom: int) -> float:
     """Entropy lost when the atom's outcomes are merged into one event."""
     space = dist.space
-    if atom >> space.n:
-        raise ValueError("atom outside the outcome space")
-    if degree(atom) < 2:
-        raise ValueError("merging needs at least two outcomes")
+    atom = space.check_atom(atom)
     first = atom_bits(atom)[0]
     merged = Partition(
         space,

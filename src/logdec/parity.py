@@ -167,6 +167,7 @@ def single_generator_sign(dist: Distribution, generator: int) -> int:
     which would falsify the sign law.
     """
     ideal = Ideal.generated_by(dist.space, [generator])
+    (generator,) = ideal.generators
     if any(dist.weights[i] == 0.0 for i in atom_bits(generator)):
         raise ValueError("sign is undefined when a member has zero weight")
     value = mu_ideal(dist, ideal)

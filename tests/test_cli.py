@@ -513,6 +513,15 @@ class TestWitnessCommand:
         results = json.loads(out)["results"]
         assert results["positive"]["mu"] > 1e-8
 
+    @pytest.mark.parametrize("table", ["0,1,1,", "0,,1,1", "0, ,1,0"])
+    def test_table_with_an_empty_cell_exits_2(self, capsys, table):
+        # a stray comma must not read as one more output symbol
+        code, out, err = run(
+            capsys, "coinfo", "--table", table, "--nx", "2", "--ny", "2", "--structure"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --table has an empty cell\n"
+
 
 class TestReportFormat:
     def test_numbers_carry_twelve_significant_digits(self, capsys, fig_file):

@@ -46,6 +46,11 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError):
             OutcomeSpace(2, labels=("a",))
 
+    def test_labels_are_strings(self):
+        # a non-string label would break the repr of every value on the space
+        with pytest.raises(ValueError, match="must be strings"):
+            OutcomeSpace(2, labels=(1, 2))
+
     def test_atom_from_labels(self):
         sp = OutcomeSpace(4)
         assert sp.atom("1", "4") == 0b1001
@@ -304,11 +309,39 @@ class TestRefinementAndCoarsening:
             with pytest.raises(ValueError, match="^operands live on different outcome spaces$"):
                 pairing()
 
-    @given(st.integers(0, 10**9), st.integers(2, 8))
+    @staticmethod
+    def _join_oracle(p, q):
+        """Connected components of "same block in p or in q", by BFS."""
+        n = p.space.n
+        root = [-1] * n
+        for start in range(n):
+            if root[start] != -1:
+                continue
+            root[start] = start
+            queue = [start]
+            for i in queue:
+                for j in range(n):
+                    linked = p.block_of[i] == p.block_of[j] or q.block_of[i] == q.block_of[j]
+                    if root[j] == -1 and linked:
+                        root[j] = start
+                        queue.append(j)
+        ids = {}
+        return Partition(p.space, [ids.setdefault(r, len(ids)) for r in root])
+
+    @staticmethod
+    def _refines_pairwise(a, b):
+        """Outcomes sharing a block of a share one of b."""
+        n = a.space.n
+        return all(
+            b.block_of[i] == b.block_of[j]
+            for i in range(n)
+            for j in range(n)
+            if a.block_of[i] == a.block_of[j]
+        )
+
+    @given(st.integers(0, 10**9), st.integers(2, 24))
     @settings(max_examples=80, deadline=None)
     def test_lattice_laws_on_random_partitions(self, seed, n):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         sp = OutcomeSpace(n)
         p, q, r = (random_partition(rng, sp) for _ in range(3))
@@ -316,6 +349,14 @@ class TestRefinementAndCoarsening:
             assert op(p, q) == op(q, p)
             assert op(op(p, q), r) == op(p, op(q, r))
             assert op(p, p) == p
+        meet, join = common_refinement(p, q), common_coarsening(p, q)
+        assert common_coarsening(p, meet) == p
+        assert common_refinement(p, join) == p
+        assert join == self._join_oracle(p, q)
         # each operand relates to the result the way a lattice demands
-        assert common_refinement(p, q).refines(p)
-        assert p.refines(common_coarsening(p, q))
+        assert meet.refines(p)
+        assert p.refines(join)
+        discrete, whole = Partition.discrete(sp), Partition.single_block(sp)
+        pairs = [(p, q), (q, p), (meet, p), (p, join), (join, p), (discrete, r), (r, whole), (r, discrete)]
+        for a, b in pairs:
+            assert a.refines(b) == self._refines_pairwise(a, b)

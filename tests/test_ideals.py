@@ -34,6 +34,11 @@ class TestConstruction:
         assert minimal_antichain([A("12"), A("123"), A("34")]) == frozenset(
             {A("12"), A("34")}
         )
+        assert minimal_antichain([np.int64(3), 7]) == frozenset({3})
+        # masks are read as integers, never truncated
+        for masks in ([3.7], [3.7, 7]):
+            with pytest.raises(TypeError):
+                minimal_antichain(masks)
 
     def test_empty_is_degenerate(self):
         empty = Ideal.empty(OutcomeSpace(4))
@@ -47,6 +52,10 @@ class TestConstruction:
             Ideal.generated_by(sp, [0])
         with pytest.raises(ValueError):
             Ideal.generated_by(sp, [A("14")])
+        for bad in (3.0, "3", np.float64(3)):
+            with pytest.raises(ValueError, match="integer"):
+                Ideal.generated_by(sp, [bad])
+        assert Ideal.generated_by(sp, [np.int64(3)]) == Ideal.generated_by(sp, [3])
 
     def test_singleton_generators_are_rejected(self):
         # Ideals are upper sets of atoms; a degree-1 pattern is not one.

@@ -83,15 +83,25 @@ class TestMuSet:
         expected = mu_set(d, atoms)
         assert mu_set(d, set(atoms)) == expected
         assert mu_set(d, reversed(atoms)) == expected
+        assert mu_set(d, map(np.int64, atoms)) == expected
+        # a set of atoms: a repeated atom counts once
+        u = Distribution.uniform(OutcomeSpace(3))
+        assert mu_set(u, [A("12"), A("12")]) == mu_atom(u, A("12"))
 
     @pytest.mark.parametrize(
         "atom, message",
-        [(A("14"), "outside"), (A("4"), "outside"), (A("1"), "degree"), (0, "degree")],
+        [
+            (A("14"), "outside"), (A("4"), "outside"), (-3, "outside"),
+            (A("1"), "degree"), (0, "degree"),
+            (3.0, "integer"), ("3", "integer"), (np.float64(3), "integer"),
+        ],
     )
     def test_bad_atom_rejected(self, atom, message):
         d = Distribution.uniform(OutcomeSpace(3))
         with pytest.raises(ValueError, match=message):
             mu_set(d, [A("12"), atom])
+        with pytest.raises(ValueError, match=message):
+            merge_loss(d, atom)
 
     def test_full_content_recovers_entropy(self, rng):
         for _ in range(40):
