@@ -78,8 +78,7 @@ class OutcomeSpace(Value):
             raise CapacityError(
                 f"outcome spaces are capped at {MAX_OUTCOMES} outcomes, got {n}"
             )
-        if not labels:
-            labels = tuple(str(i + 1) for i in range(n))
+        labels = tuple(labels) or tuple(str(i + 1) for i in range(n))
         if len(labels) != n:
             raise ValueError("label count must match outcome count")
         if not all(isinstance(lab, str) for lab in labels):
@@ -114,15 +113,21 @@ class OutcomeSpace(Value):
             mask = operator.index(atom)
         except TypeError:
             raise ValueError(f"an atom is an integer mask, got {atom!r}") from None
-        if mask < 0 or mask >> self.n:
-            raise ValueError("atom outside the outcome space")
-        if mask.bit_count() < 2:
+        if self.check_mask(mask).bit_count() < 2:
             raise ValueError("atoms have degree >= 2")
+        return mask
+
+    def check_mask(self, mask: int) -> int:
+        """The mask, once it is a set of outcomes of this space (of any degree)."""
+        if mask < 0 or mask >> self.n:
+            raise ValueError(
+                f"atom outside the outcome space: masks are nonnegative and below 2**{self.n}"
+            )
         return mask
 
     def format_atom(self, atom: int) -> str:
         """Human form of an atom; labels concatenate when all are one char."""
-        labs = [self.labels[i] for i in atom_bits(atom)]
+        labs = [self.labels[i] for i in atom_bits(self.check_mask(atom))]
         if all(len(lab) == 1 for lab in self.labels):
             return "".join(labs)
         return ",".join(labs)
@@ -162,7 +167,7 @@ class Distribution(Value):
 
     def mass(self, atom: int) -> float:
         """Total weight of an atom's members."""
-        return sum(self.weights[i] for i in atom_bits(atom))
+        return sum(self.weights[i] for i in atom_bits(self.space.check_mask(atom)))
 
 
 class Partition(Value):
@@ -226,6 +231,7 @@ class Partition(Value):
 
     def crosses(self, atom: int) -> bool:
         """True when the atom fits inside no block: two members differ in block."""
+        self.space.check_mask(atom)
         return all(atom & ~b for b in self.block_masks)
 
     def refines(self, other: "Partition") -> bool:

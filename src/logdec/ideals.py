@@ -30,30 +30,22 @@ from .core import (
 def minimal_antichain(atoms: Iterable[int]) -> frozenset[int]:
     """Drop every pattern that contains another; the result is unique.
 
-    Patterns are reduced one degree level at a time against the kept
+    Patterns are reduced one degree level at a time by scanning the kept
     patterns of lower degree, since no pattern of its own degree can be
-    a proper subpattern of one.  A candidate is checked by whichever is
-    shorter: looking up its 2**degree submasks, or scanning those kept
-    patterns.
+    a proper subpattern of one.  The scan costs kept x candidates, which
+    suits the parity search's product sets, the only input a command
+    gives it.  Re-reducing a large ideal pays for it (one core of a
+    2-vCPU Xeon VM): Ideal(space, gens) of a 1603-generator 12-variable
+    content on 24 outcomes takes 42 ms, and intersecting content(X),
+    content(Y) and content(Z) on 24 outcomes 68 ms, against 5 and 37 ms
+    with a submask lookup that no command reached.
     """
     patterns = {operator.index(a) for a in atoms}
     if len(patterns) < 2:
         return frozenset(patterns)
-    keep: set[int] = set()
-    ordered = sorted(patterns, key=int.bit_count)
-    for d, level in itertools.groupby(ordered, key=int.bit_count):
-        fresh = []
-        for m in level:
-            if 1 << d <= len(keep):
-                sub = (m - 1) & m
-                while sub and sub not in keep:
-                    sub = (sub - 1) & m
-                covered = sub != 0
-            else:
-                covered = any(k & m == k for k in keep)
-            if not covered:
-                fresh.append(m)
-        keep.update(fresh)
+    keep: list[int] = []
+    for _, level in itertools.groupby(sorted(patterns, key=int.bit_count), key=int.bit_count):
+        keep += [m for m in level if not any(k & m == k for k in keep)]
     return frozenset(keep)
 
 

@@ -46,6 +46,14 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError):
             OutcomeSpace(2, labels=("a",))
 
+    def test_labels_are_stored_as_a_tuple(self):
+        # a list of labels builds the same hashable space as a tuple
+        listed = OutcomeSpace(3, labels=["a", "b", "c"])
+        assert listed == OutcomeSpace(3, labels=("a", "b", "c"))
+        assert listed.labels == ("a", "b", "c")
+        assert hash(listed) == hash(OutcomeSpace(3, labels=("a", "b", "c")))
+        assert mu_ideal(Distribution.uniform(listed), Ideal.generated_by(listed, [3])) > 0
+
     def test_labels_are_strings(self):
         # a non-string label would break the repr of every value on the space
         with pytest.raises(ValueError, match="must be strings"):
@@ -68,6 +76,19 @@ class TestOutcomeSpace:
             OutcomeSpace(3).format_atom(-1)
         with pytest.raises(ValueError, match="nonnegative"):
             Distribution.uniform(OutcomeSpace(3)).mass(-2)
+        # a mask beyond the space is refused, not read past the labels,
+        # weights or blocks; masks of degree 0 and 1 still have a mass
+        sp = OutcomeSpace(3)
+        dist = Distribution.uniform(sp)
+        for call in (sp.format_atom, dist.mass, Partition.discrete(sp).crosses):
+            for mask in (8, 0b1011):
+                with pytest.raises(ValueError, match="atom outside the outcome space"):
+                    call(mask)
+        with pytest.raises(ValueError, match="atom outside the outcome space"):
+            Partition.discrete(sp).crosses(-1)
+        assert dist.mass(0) == 0.0
+        assert dist.mass(4) == pytest.approx(1 / 3)
+        assert not Partition.discrete(sp).crosses(4)
 
 
 class TestDistribution:

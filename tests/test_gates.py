@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,11 +7,13 @@ from logdec import (
     CapacityError,
     Ideal,
     Partition,
+    atom_bits,
     build_gate,
     canonical_classes,
     canonicalize,
     census,
     classify_gate,
+    classify_parity,
     coinformation_content,
     coinformation_numeric,
     mu_ideal,
@@ -24,7 +27,7 @@ from logdec.gates import (
     ZERO_COINFORMATION,
     expected_class_total,
 )
-from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED
+from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
 
 from conftest import A, random_distribution
 
@@ -191,6 +194,44 @@ class TestCensus:
                     assert mu_ideal(dist, ideal) == pytest.approx(
                         coinformation_numeric(dist, parts), abs=1e-9
                     )
+
+    def test_every_pure_even_class_has_a_wrongly_signed_leaf(self):
+        # Each pure-even class holds two disjoint pair generators g, h with
+        # no other generator inside U = g | h.  The members of the ideal
+        # below U are the sets holding g or h, so the Moebius coefficient
+        # of membership at U, sum over S <= U of (-1)**|U - S| [S in I],
+        # is 0 + 0 - 1 = -1.  The degree-4 leaf <U> thus enters the one
+        # leaf expansion with a negative sign: no even certificate exists.
+        counts = {}
+        for nx, ny in ((2, 2), (2, 3), (3, 3)):
+            even = []
+            for table, _ in canonical_classes(nx, ny):
+                gate = build_gate(nx, ny, table)
+                ideal = coinformation_content([gate.x, gate.y, gate.z])
+                if ideal.generator_parities() == {0}:
+                    even.append(ideal)
+            counts[nx, ny] = len(even)
+            for ideal in even:
+                gens = ideal.generators
+                pairs = sorted(g for g in gens if g.bit_count() == 2)
+                unions = [
+                    g | h
+                    for g, h in itertools.combinations(pairs, 2)
+                    if not g & h and all(k in (g, h) or k & (g | h) != k for k in gens)
+                ]
+                assert unions
+                for union in unions:
+                    bits = [1 << i for i in atom_bits(union)]
+                    coeff = sum(
+                        (-1) ** (4 - r) * ideal.contains(sum(s))
+                        for r in range(5)
+                        for s in itertools.combinations(bits, r)
+                    )
+                    assert coeff == -1
+                # the search agrees; 3x3 is left out for time
+                if nx * ny < 9:
+                    assert classify_parity(ideal).tag == UNDETERMINED
+        assert counts == {(2, 2): 5, (2, 3): 14, (3, 3): 69}
 
     def test_side_capacity(self):
         with pytest.raises(CapacityError):

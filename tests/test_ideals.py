@@ -169,11 +169,8 @@ class TestOracleEquivalence:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_minimal_antichain_matches_the_definition(self):
-        # Keep m iff no other element is a submask of it.  Set sizes and
-        # degrees straddle 2**degree <= len(kept), where the candidate
-        # check switches from scanning the kept set to submask lookups.
+        # Keep m iff no other element is a submask of it.
         rng = np.random.default_rng(20241018)
-        lookups = scans = 0
         for _ in range(60):
             n = int(rng.integers(2, 13))
             size = int(rng.integers(1, 400))
@@ -187,12 +184,6 @@ class TestOracleEquivalence:
             np.fill_diagonal(below, False)
             expected = frozenset(int(m) for m in arr[~below.any(axis=0)])
             assert minimal_antichain(atoms) == expected
-            for m in atoms:
-                if 1 << m.bit_count() <= len(expected):
-                    lookups += 1
-                else:
-                    scans += 1
-        assert lookups > 1000 and scans > 1000
 
 
 def no_cap(steps):
