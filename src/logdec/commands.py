@@ -109,15 +109,24 @@ def _load_system(args) -> System:
     return System(gate.space, Distribution.uniform(gate.space), variables)
 
 
-def _pick_variables(system: System, names: list[str] | None) -> list[tuple[str, Partition]]:
-    if names is None:
-        return list(system.variables.items())
-    out = []
+def _pick_variables(system: System, names: list[str] | None) -> tuple[list[str], list[Partition]]:
+    """The named variables, or all of them when none are named: (names, partitions)."""
+    names = list(system.variables) if names is None else names
     for name in names:
         if name not in system.variables:
             raise ValueError(f"unknown variable name {name!r}")
-        out.append((name, system.variables[name]))
-    return out
+    return names, [system.variables[name] for name in names]
+
+
+def _coinfo_variables(system: System, names: list[str] | None) -> tuple[list[str], list[Partition]]:
+    """_pick_variables for a co-information: at least two, at most MAX_VARIABLES."""
+    from .contents import check_variable_capacity
+
+    names, parts = _pick_variables(system, names)
+    if len(parts) < 2:
+        raise ValueError("co-information needs at least two variable names")
+    check_variable_capacity(len(parts))
+    return names, parts
 
 
 def _require_distribution(system: System) -> Distribution:
@@ -199,8 +208,8 @@ def cmd_decompose(args, argv) -> None:
             f"decompose listing is capped at {DECOMPOSE_MAX_N} outcomes"
         )
     if args.variable is not None:
-        chosen = _pick_variables(system, [args.variable])
-        atoms = content(chosen[0][1]).enumerate()
+        _, [part] = _pick_variables(system, [args.variable])
+        atoms = content(part).enumerate()
     else:
         atoms = enumerate_complex(space)
     atom_rows = [
@@ -230,16 +239,10 @@ def cmd_coinfo(args, argv) -> None:
 
     system = _load_system(args)
     dist = _require_distribution(system)
-    chosen = _pick_variables(system, args.variables)
-    if len(chosen) < 2:
-        raise ValueError("co-information needs at least two variable names")
-    parts = [p for _, p in chosen]
+    names, parts = _coinfo_variables(system, args.variables)
     value = coinformation_numeric(dist, parts)
-    results: dict = {
-        "variables": [name for name, _ in chosen],
-        "coinformation": value,
-    }
-    lines = [f"co-information({', '.join(results['variables'])}) = {value:+.6f} bits"]
+    results: dict = {"variables": names, "coinformation": value}
+    lines = [f"co-information({', '.join(names)}) = {value:+.6f} bits"]
     if args.structure:
         from .parity import classify_parity
 
@@ -320,15 +323,11 @@ def cmd_census(args, argv) -> None:
 
 
 def cmd_witness(args, argv) -> None:
-    from .contents import check_variable_capacity, coinformation_content, coinformation_numeric
+    from .contents import coinformation_content, coinformation_numeric
     from .parity import witness_distributions
 
     system = _load_system(args)
-    chosen = _pick_variables(system, args.variables)
-    if len(chosen) < 2:
-        raise ValueError("witness construction needs at least two variable names")
-    check_variable_capacity(len(chosen))
-    parts = [p for _, p in chosen]
+    names, parts = _coinfo_variables(system, args.variables)
     ideal = coinformation_content(parts)
     if ideal.is_empty:
         raise PreconditionError("the co-information ideal is empty; measure is 0")
@@ -339,10 +338,7 @@ def cmd_witness(args, argv) -> None:
             f"co-information ideal is not strongly mixed (pure {kind} generators); "
             "no two-sided witness exists"
         )
-    results = {
-        "variables": [name for name, _ in chosen],
-        "generators": _format_generators(ideal),
-    }
+    results = {"variables": names, "generators": _format_generators(ideal)}
     lines = []
     for side, w in zip(("positive", "negative"), witness_distributions(ideal)):
         results[side] = {

@@ -106,19 +106,20 @@ class OutcomeSpace(Value):
         return mask
 
     def check_atom(self, atom) -> int:
-        """The atom as an int mask, once it is an atom of this space: a
-        mask of degree >= 2 inside the space.  Any integer passes (numpy's
-        included); anything else is a ValueError."""
-        try:
-            mask = operator.index(atom)
-        except TypeError:
-            raise ValueError(f"an atom is an integer mask, got {atom!r}") from None
-        if self.check_mask(mask).bit_count() < 2:
+        """The atom as an int mask: a mask of this space (check_mask) of degree >= 2."""
+        mask = self.check_mask(atom)
+        if mask.bit_count() < 2:
             raise ValueError("atoms have degree >= 2")
         return mask
 
-    def check_mask(self, mask: int) -> int:
-        """The mask, once it is a set of outcomes of this space (of any degree)."""
+    def check_mask(self, mask) -> int:
+        """The mask as an int, once it is a set of outcomes of this space
+        (of any degree).  Any integer passes (numpy's included); anything
+        else is a ValueError."""
+        try:
+            mask = operator.index(mask)
+        except TypeError:
+            raise ValueError(f"an atom is an integer mask, got {mask!r}") from None
         if mask < 0 or mask >> self.n:
             raise ValueError(
                 f"atom outside the outcome space: masks are nonnegative and below 2**{self.n}"
@@ -206,6 +207,11 @@ class Partition(Value):
 
     @classmethod
     def from_blocks(cls, space: OutcomeSpace, blocks) -> "Partition":
+        """Partition from its blocks: disjoint lists of integer outcome indices."""
+        try:
+            blocks = [[operator.index(i) for i in members] for members in blocks]
+        except TypeError:
+            raise ValueError("block members must be integers") from None
         block_of = [-1] * space.n
         for b, members in enumerate(blocks):
             for i in members:
@@ -231,7 +237,7 @@ class Partition(Value):
 
     def crosses(self, atom: int) -> bool:
         """True when the atom fits inside no block: two members differ in block."""
-        self.space.check_mask(atom)
+        atom = self.space.check_mask(atom)
         return all(atom & ~b for b in self.block_masks)
 
     def refines(self, other: "Partition") -> bool:

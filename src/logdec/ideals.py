@@ -134,18 +134,15 @@ def minimal_transversals(edges: list[int], spend) -> list[int]:
 class Ideal(Value):
     """Upward-closed atom set, stored as its minimal generating antichain.
 
-    Generators are atoms: patterns of degree >= 2 inside the space.
+    Ideal(space, generators) takes any iterable of atoms, patterns of
+    degree >= 2 inside the space (check_atom); none give the empty ideal.
     """
 
     __slots__ = ("space", "generators")
 
-    def __init__(self, space: OutcomeSpace, generators: frozenset[int]):
+    def __init__(self, space: OutcomeSpace, generators: Iterable[int]):
         self.space = space
         self.generators = minimal_antichain(space.check_atom(g) for g in generators)
-
-    @classmethod
-    def generated_by(cls, space: OutcomeSpace, atoms: Iterable[int]) -> "Ideal":
-        return cls(space, frozenset(atoms))
 
     @classmethod
     def _of_antichain(cls, space: OutcomeSpace, antichain: Iterable[int]) -> "Ideal":
@@ -155,10 +152,6 @@ class Ideal(Value):
         ideal.space = space
         ideal.generators = frozenset(space.check_atom(g) for g in antichain)
         return ideal
-
-    @classmethod
-    def empty(cls, space: OutcomeSpace) -> "Ideal":
-        return cls(space, frozenset())
 
     @property
     def is_empty(self) -> bool:

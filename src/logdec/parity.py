@@ -166,7 +166,7 @@ def single_generator_sign(dist: Distribution, generator: int) -> int:
     AssertionError when the measure lies beyond EQ_TOL on the wrong side,
     which would falsify the sign law.
     """
-    ideal = Ideal.generated_by(dist.space, [generator])
+    ideal = Ideal(dist.space, [generator])
     (generator,) = ideal.generators
     if any(dist.weights[i] == 0.0 for i in atom_bits(generator)):
         raise ValueError("sign is undefined when a member has zero weight")

@@ -33,7 +33,7 @@ def random_atom(rng, space: OutcomeSpace, min_degree: int = 2, max_degree: int |
 def random_ideal(rng, space: OutcomeSpace, max_generators: int = 3) -> Ideal:
     k = int(rng.integers(1, max_generators + 1))
     gens = [random_atom(rng, space) for _ in range(k)]
-    return Ideal.generated_by(space, gens)
+    return Ideal(space, gens)
 
 
 @pytest.fixture

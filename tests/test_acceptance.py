@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 Tolerances and sample counts are pinned here and are not calibration knobs.
 """
 
+import functools
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from logdec import (
     OutcomeSpace,
     all_partitions,
     census,
+    classify_parity,
     coinformation_content,
     coinformation_numeric,
     content,
@@ -26,9 +29,12 @@ from logdec import (
     mu_ideal,
     named_gate,
     single_generator_sign,
+    witness_distributions,
 )
+from logdec.commands import parse_system
+from logdec.core import common_refinement
 from logdec.gates import ALWAYS_NEGATIVE, ZERO_COINFORMATION
-from logdec.parity import CERTIFIED_ODD
+from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
 
 from conftest import A, random_distribution, random_ideal, random_partition
 
@@ -304,3 +310,39 @@ def test_criterion_8_expression_counting():
         ok = ok and explicit == count_expressions(n) == formula
     ok = ok and count_expressions(5) == 2 ** (2**5 - 5 - 1) == 2**26
     _report("entropy-expression counting", ok, "; ".join(details))
+
+
+def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
+    # James and Crutchfield (2017), "Multivariate dependence beyond Shannon
+    # information": the dyadic and triadic systems on 8 equally likely
+    # outcomes have the same seven joint entropies, hence the same
+    # I-measure, yet their co-information ideals differ.
+    golden = Path(__file__).resolve().parent / "golden"
+    systems = {
+        name: parse_system((golden / f"system-{name}.json").read_text())
+        for name in ("dyadic", "triadic")
+    }
+    details = []
+    ok = True
+    for name, system in systems.items():
+        parts = list(system.variables.values())
+        joints = [
+            entropy(system.dist, functools.reduce(common_refinement, family))
+            for r in (1, 2, 3)
+            for family in itertools.combinations(parts, r)
+        ]
+        ok = ok and np.allclose(joints, [2, 2, 2, 3, 3, 3, 3], rtol=0, atol=1e-12)
+        ok = ok and abs(coinformation_numeric(system.dist, parts)) < 1e-12
+    dyadic = coinformation_content(list(systems["dyadic"].variables.values()))
+    ok = ok and dyadic.degree_profile() == (2,) * 16
+    ok = ok and classify_parity(dyadic).tag == UNDETERMINED
+    triadic_parts = list(systems["triadic"].variables.values())
+    triadic = coinformation_content(triadic_parts)
+    ok = ok and triadic.degree_profile() == (2,) * 16 + (3,) * 8
+    ok = ok and classify_parity(triadic).tag == STRONGLY_MIXED
+    details.append(f"dyadic {dyadic.degree_profile().count(2)} pairs")
+    for w, expected in zip(witness_distributions(triadic), (0.888384, -0.309168)):
+        ok = ok and abs(w.mu - expected) < 1e-6
+        ok = ok and abs(coinformation_numeric(w.dist, triadic_parts) - w.mu) < 1e-9
+        details.append(f"triadic witness mu={w.mu:+.6f}")
+    _report("one I-measure, two co-information ideals", ok, "; ".join(details))

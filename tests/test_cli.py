@@ -247,8 +247,11 @@ class TestCoinfo:
         assert results["structure"]["mu"] == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_two_variables(self, capsys):
-        code, _, err = run(capsys, "coinfo", "--gate", "or:2x2", "-v", "X")
-        assert code == 2
+        # coinfo and witness pick their variables through one check
+        for command in ("coinfo", "witness"):
+            code, out, err = run(capsys, command, "--gate", "or:2x2", "-v", "X")
+            assert code == 2 and out == ""
+            assert err == "error: co-information needs at least two variable names\n"
 
     def test_unknown_variable_name(self, capsys):
         code, _, err = run(capsys, "coinfo", "--gate", "or:2x2", "-v", "X", "W")

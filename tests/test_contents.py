@@ -95,7 +95,7 @@ class TestContent:
     def test_three_block_partition_generators(self):
         sp = OutcomeSpace(4)
         x = Partition.from_blocks(sp, [[0, 1], [2], [3]])
-        assert content(x) == Ideal.generated_by(
+        assert content(x) == Ideal(
             sp, [A(a) for a in ("13", "23", "14", "24", "34")]
         )
 
@@ -142,7 +142,7 @@ class TestExpressions:
     def test_or_gate_triple_region(self):
         sp, x, y, z = or_gate_system()
         got = content(x).intersection(content(y)).intersection(content(z))
-        assert got == Ideal.generated_by(sp, [A("14"), A("123")])
+        assert got == Ideal(sp, [A("14"), A("123")])
 
     def test_difference_region_measures_conditional_entropy(self, rng):
         # C(X) - C(Y) is not an ideal, but C(X) u C(Y) minus C(Y) measures it
@@ -159,14 +159,14 @@ class TestExpressions:
 class TestCoinformation:
     def test_triangle_pair_reduces_to_one_generator(self):
         _, x, y = triangle_system()
-        assert coinformation_content([x, y]) == Ideal.generated_by(x.space, [A("12")])
+        assert coinformation_content([x, y]) == Ideal(x.space, [A("12")])
 
     def test_xor_triple_is_all_triples(self):
         from logdec import named_gate
 
         g = named_gate("xor:2x2")
         got = coinformation_content([g.x, g.y, g.z])
-        assert got == Ideal.generated_by(
+        assert got == Ideal(
             g.space, [A("123"), A("124"), A("134"), A("234")]
         )
 
@@ -277,7 +277,7 @@ class TestCoinformation:
         # crosses every variable when it holds one outcome of each pair.
         sp = OutcomeSpace(16)
         parts = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(8)]
-        assert coinformation_content(parts) == Ideal.generated_by(sp, one_outcome_per_pair(8))
+        assert coinformation_content(parts) == Ideal(sp, one_outcome_per_pair(8))
 
     def test_heavy_splitter_systems_answer_far_below_the_step_cap(self, content_steps):
         # On 24 outcomes: 12 pair splitters give 4096 generators; 10 pair
@@ -286,16 +286,16 @@ class TestCoinformation:
         # one outcome per triple that hold 0 or 1 (148k steps).
         sp = OutcomeSpace(24)
         pairs = [splitter(sp, {2 * j, 2 * j + 1}) for j in range(12)]
-        expected = Ideal.generated_by(sp, one_outcome_per_pair(12))
+        expected = Ideal(sp, one_outcome_per_pair(12))
         assert coinformation_content(pairs) == expected
         parts = pairs[:10] + [splitter(sp, {20, 21, 22}), splitter(sp, {21, 22, 23})]
         tails = [1 << 21, 1 << 22, 1 << 20 | 1 << 23]
-        expected = Ideal.generated_by(sp, [p | t for p in one_outcome_per_pair(10) for t in tails])
+        expected = Ideal(sp, [p | t for p in one_outcome_per_pair(10) for t in tails])
         assert len(expected.generators) == 3072
         assert coinformation_content(parts) == expected
         triples = [splitter(sp, {3 * j, 3 * j + 1, 3 * j + 2}) for j in range(8)]
         picks = [sum(1 << 3 * j + c // 3**j % 3 for j in range(8)) for c in range(3**8)]
-        expected = Ideal.generated_by(sp, [p for p in picks if p & 0b11])
+        expected = Ideal(sp, [p for p in picks if p & 0b11])
         assert len(expected.generators) == 4374
         assert coinformation_content(triples + [splitter(sp, {0, 1})]) == expected
         assert len(content_steps) == 3
@@ -341,7 +341,7 @@ def partitions_with_content(space, atoms):
 class TestRepresentability:
     def test_pair_ideal_is_not_a_partition(self):
         sp = OutcomeSpace(3)
-        w = Ideal.generated_by(sp, [A("12")]).enumerate()
+        w = Ideal(sp, [A("12")]).enumerate()
         assert partitions_with_content(sp, w) == []
 
     def test_content_round_trips(self, rng):
@@ -353,7 +353,7 @@ class TestRepresentability:
 
     def test_empty_set_is_the_constant_variable(self):
         sp = OutcomeSpace(3)
-        empty = Ideal.empty(sp).enumerate()
+        empty = Ideal(sp, []).enumerate()
         assert partitions_with_content(sp, empty) == [Partition.single_block(sp)]
 
 
@@ -391,13 +391,13 @@ class TestGacsKorner:
 class TestIdealToVariables:
     def test_single_pair_round_trip(self):
         sp = OutcomeSpace(3)
-        ideal = Ideal.generated_by(sp, [A("12")])
+        ideal = Ideal(sp, [A("12")])
         parts = ideal_to_variables(ideal)
         assert coinformation_content(parts) == ideal
 
     def test_triple_round_trip(self):
         sp = OutcomeSpace(3)
-        ideal = Ideal.generated_by(sp, [A("123")])
+        ideal = Ideal(sp, [A("123")])
         parts = ideal_to_variables(ideal)
         assert coinformation_content(parts) == ideal
 
@@ -452,13 +452,13 @@ class TestIdealToVariables:
 
     def test_empty_ideal_rejected(self):
         with pytest.raises(ValueError):
-            ideal_to_variables(Ideal.empty(OutcomeSpace(3)))
+            ideal_to_variables(Ideal(OutcomeSpace(3), []))
 
     def test_degree_one_generator_rejected(self):
         # The Ideal itself refuses the degree-1 generator, before any
         # variables are built.
         with pytest.raises(ValueError, match="degree >= 2"):
-            ideal_to_variables(Ideal.generated_by(OutcomeSpace(3), [A("1"), A("23")]))
+            ideal_to_variables(Ideal(OutcomeSpace(3), [A("1"), A("23")]))
 
     @pytest.mark.parametrize(
         "n, gens",
@@ -470,7 +470,7 @@ class TestIdealToVariables:
         ids=["all-triples-of-5", "degree-18", "14-chained-pairs"],
     )
     def test_large_families_round_trip_fast(self, n, gens):
-        ideal = Ideal.generated_by(OutcomeSpace(n), gens)
+        ideal = Ideal(OutcomeSpace(n), gens)
         start = time.perf_counter()
         assert coinformation_content(ideal_to_variables(ideal)) == ideal
         assert time.perf_counter() - start < 1.0
@@ -482,7 +482,7 @@ class TestIdealToVariables:
             for b in range(4)
             for combo in itertools.combinations(range(6), 4)
         ]
-        ideal = Ideal.generated_by(OutcomeSpace(24), gens)
+        ideal = Ideal(OutcomeSpace(24), gens)
         start = time.perf_counter()
         with pytest.raises(CapacityError):
             ideal_to_variables(ideal)
@@ -491,9 +491,9 @@ class TestIdealToVariables:
 
 def atom_bounds(space, atom):
     """The ideal <atom> and the part of it strictly above `atom`."""
-    inner = Ideal.generated_by(space, [atom])
+    inner = Ideal(space, [atom])
     free = space.full_mask & ~atom
-    above = Ideal.generated_by(space, [atom | (1 << i) for i in range(space.n) if free >> i & 1])
+    above = Ideal(space, [atom | (1 << i) for i in range(space.n) if free >> i & 1])
     return inner, above
 
 
@@ -501,8 +501,8 @@ class TestAtomExtraction:
     def test_triple_inside_four(self):
         sp = OutcomeSpace(4)
         inner, above = atom_bounds(sp, A("123"))
-        assert inner == Ideal.generated_by(sp, [A("123")])
-        assert above == Ideal.generated_by(sp, [A("1234")])
+        assert inner == Ideal(sp, [A("123")])
+        assert above == Ideal(sp, [A("1234")])
         assert set(inner.enumerate()) - set(above.enumerate()) == {A("123")}
 
     def test_top_atom_has_nothing_above(self):
@@ -514,7 +514,7 @@ class TestAtomExtraction:
     def test_pair_inside_three(self):
         sp = OutcomeSpace(3)
         inner, above = atom_bounds(sp, A("12"))
-        assert above == Ideal.generated_by(sp, [A("123")])
+        assert above == Ideal(sp, [A("123")])
         assert set(inner.enumerate()) - set(above.enumerate()) == {A("12")}
 
     def test_measure_difference_isolates_the_atom(self, rng):

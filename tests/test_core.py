@@ -52,7 +52,7 @@ class TestOutcomeSpace:
         assert listed == OutcomeSpace(3, labels=("a", "b", "c"))
         assert listed.labels == ("a", "b", "c")
         assert hash(listed) == hash(OutcomeSpace(3, labels=("a", "b", "c")))
-        assert mu_ideal(Distribution.uniform(listed), Ideal.generated_by(listed, [3])) > 0
+        assert mu_ideal(Distribution.uniform(listed), Ideal(listed, [3])) > 0
 
     def test_labels_are_strings(self):
         # a non-string label would break the repr of every value on the space
@@ -89,6 +89,17 @@ class TestOutcomeSpace:
         assert dist.mass(0) == 0.0
         assert dist.mass(4) == pytest.approx(1 / 3)
         assert not Partition.discrete(sp).crosses(4)
+
+    def test_masks_are_read_as_integers(self):
+        # one integer rule for masks of any degree: numpy integers pass,
+        # floats and strings are refused, never truncated or compared
+        sp = OutcomeSpace(3)
+        dist = Distribution.uniform(sp)
+        for call in (sp.format_atom, dist.mass, Partition.discrete(sp).crosses):
+            for bad in (3.0, np.float64(3), "3"):
+                with pytest.raises(ValueError, match="an atom is an integer mask"):
+                    call(bad)
+            assert call(np.int64(3)) == call(3)
 
 
 class TestDistribution:
@@ -279,6 +290,17 @@ class TestPartition:
         with pytest.raises(ValueError, match="outside the outcome space"):
             Partition.from_blocks(OutcomeSpace(3), blocks)
 
+    @pytest.mark.parametrize("blocks", [[[0, 1.0], [2]], [[0, "1"], [2]], [[0, np.float64(1)], [2]]])
+    def test_from_blocks_rejects_members_that_are_not_integers(self, blocks):
+        with pytest.raises(ValueError, match="block members must be integers"):
+            Partition.from_blocks(OutcomeSpace(3), blocks)
+
+    def test_from_blocks_reads_numpy_integers_and_bools(self):
+        sp = OutcomeSpace(3)
+        expected = Partition.from_blocks(sp, [[0, 1], [2]])
+        assert Partition.from_blocks(sp, [[np.int64(0), np.int32(1)], [np.int8(2)]]) == expected
+        assert Partition.from_blocks(sp, [[False, True], [2]]) == expected
+
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
             assert sum(1 for _ in all_partitions(OutcomeSpace(n))) == bell
@@ -317,7 +339,7 @@ class TestRefinementAndCoarsening:
         # every pairing of values goes through one check with one message
         small, large = OutcomeSpace(3), OutcomeSpace(4)
         a, b = Partition.discrete(small), Partition.discrete(large)
-        i, j = Ideal.generated_by(small, [0b11]), Ideal.generated_by(large, [0b11])
+        i, j = Ideal(small, [0b11]), Ideal(large, [0b11])
         pairings = [
             lambda: common_refinement(a, b),
             lambda: common_coarsening(a, b),

@@ -15,7 +15,7 @@ from conftest import A, random_distribution, random_ideal
 
 
 def ideal(n, *atoms):
-    return Ideal.generated_by(OutcomeSpace(n), [A(a) for a in atoms])
+    return Ideal(OutcomeSpace(n), [A(a) for a in atoms])
 
 
 def brute_upper_set(gens, n):
@@ -41,21 +41,31 @@ class TestConstruction:
                 minimal_antichain(masks)
 
     def test_empty_is_degenerate(self):
-        empty = Ideal.empty(OutcomeSpace(4))
+        empty = Ideal(OutcomeSpace(4), [])
         assert empty.is_empty
         assert len(empty.enumerate()) == 0
         assert not empty.contains(A("12"))
 
+    def test_any_iterable_of_atoms_builds_the_same_ideal(self):
+        sp = OutcomeSpace(4)
+        atoms = [A("12"), A("123"), A("34")]
+        expected = Ideal(sp, frozenset(atoms))
+        for given in (atoms, set(atoms), tuple(atoms), (a for a in atoms), np.array(atoms)):
+            assert Ideal(sp, given) == expected
+        assert Ideal(sp, [np.int64(a) for a in atoms]) == expected
+        for nothing in ([], set(), iter(())):
+            assert Ideal(sp, nothing).is_empty
+
     def test_rejects_empty_pattern_and_foreign_atoms(self):
         sp = OutcomeSpace(3)
         with pytest.raises(ValueError):
-            Ideal.generated_by(sp, [0])
+            Ideal(sp, [0])
         with pytest.raises(ValueError):
-            Ideal.generated_by(sp, [A("14")])
+            Ideal(sp, [A("14")])
         for bad in (3.0, "3", np.float64(3)):
             with pytest.raises(ValueError, match="integer"):
-                Ideal.generated_by(sp, [bad])
-        assert Ideal.generated_by(sp, [np.int64(3)]) == Ideal.generated_by(sp, [3])
+                Ideal(sp, [bad])
+        assert Ideal(sp, [np.int64(3)]) == Ideal(sp, [3])
 
     def test_singleton_generators_are_rejected(self):
         # Ideals are upper sets of atoms; a degree-1 pattern is not one.
@@ -142,7 +152,7 @@ class TestOracleEquivalence:
     def test_union_and_intersection_match_brute_force(self, g1, g2):
         n = 6
         sp = OutcomeSpace(n)
-        i, j = Ideal.generated_by(sp, g1), Ideal.generated_by(sp, g2)
+        i, j = Ideal(sp, g1), Ideal(sp, g2)
         # listings are ascending tuples
         union = brute_upper_set(g1, n) | brute_upper_set(g2, n)
         meet = brute_upper_set(g1, n) & brute_upper_set(g2, n)
@@ -153,9 +163,9 @@ class TestOracleEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_minimal_antichain_is_canonical(self, gens):
         sp = OutcomeSpace(6)
-        i = Ideal.generated_by(sp, gens)
+        i = Ideal(sp, gens)
         # regenerate from the full upper-set: same antichain comes back
-        assert Ideal.generated_by(sp, i.enumerate()) == i
+        assert Ideal(sp, i.enumerate()) == i
 
     @given(generator_sets(), generator_sets(), st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -163,7 +173,7 @@ class TestOracleEquivalence:
         sp = OutcomeSpace(6)
         rng = np.random.default_rng(seed)
         dist = random_distribution(rng, sp)
-        i, j = Ideal.generated_by(sp, g1), Ideal.generated_by(sp, g2)
+        i, j = Ideal(sp, g1), Ideal(sp, g2)
         lhs = mu_ideal(dist, i.union(j))
         rhs = mu_ideal(dist, i) + mu_ideal(dist, j) - mu_ideal(dist, i.intersection(j))
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -210,7 +220,7 @@ class TestMinimalTransversals:
 
     def test_transversals_of_the_maximal_non_members_complements_are_the_generators(self, rng):
         sp = OutcomeSpace(4)
-        ideals = [Ideal.empty(sp)]
+        ideals = [Ideal(sp, [])]
         for _ in range(200):
             ideals.append(random_ideal(rng, OutcomeSpace(int(rng.integers(2, 11))), 5))
         for ideal in ideals:

@@ -39,7 +39,7 @@ from conftest import A, random_atom, random_distribution
 
 
 def ideal(n, *atoms):
-    return Ideal.generated_by(OutcomeSpace(n), [A(a) for a in atoms])
+    return Ideal(OutcomeSpace(n), [A(a) for a in atoms])
 
 
 XOR_IDEAL = ideal(4, "123", "124", "134", "234")
@@ -49,7 +49,7 @@ OR_IDEAL = ideal(4, "14", "123")
 def _certificate_value(dist, certificate):
     """Signed sum of leaf measures; equals the ideal's measure identically."""
     return sum(
-        coeff * mu_ideal(dist, Ideal.generated_by(dist.space, [mask]))
+        coeff * mu_ideal(dist, Ideal(dist.space, [mask]))
         for mask, coeff in certificate
     )
 
@@ -105,7 +105,7 @@ class TestClassification:
 
     def test_empty_ideal_has_no_parity(self):
         with pytest.raises(ValueError):
-            classify_parity(Ideal.empty(OutcomeSpace(3)))
+            classify_parity(Ideal(OutcomeSpace(3), []))
 
     def test_degree_one_generators_are_refused_when_the_ideal_is_built(self):
         # <1> used to certify odd although its measure is positive, <1, 23>
@@ -254,7 +254,7 @@ class TestSingleGeneratorSign:
         dist = Distribution(sp, (0.1, 0.2, 0.3, 0.4))
         from logdec import mu_atom
 
-        top = Ideal.generated_by(sp, [sp.full_mask])
+        top = Ideal(sp, [sp.full_mask])
         assert mu_ideal(dist, top) == pytest.approx(mu_atom(dist, sp.full_mask))
         assert single_generator_sign(dist, sp.full_mask) == 1
 
@@ -330,7 +330,7 @@ class TestWitnesses:
             n = int(rng.integers(3, 8))
             sp = OutcomeSpace(n)
             gens = [random_atom(rng, sp) for _ in range(int(rng.integers(2, 5)))]
-            the_ideal = Ideal.generated_by(sp, gens)
+            the_ideal = Ideal(sp, gens)
             if len(the_ideal.generator_parities()) != 2:
                 continue
             produced += 1
@@ -367,7 +367,7 @@ def mixed_ideals(draw) -> Ideal:
     n = draw(st.integers(3, 8))
     atom = st.integers(3, (1 << n) - 1).filter(lambda m: m.bit_count() >= 2)
     gens = draw(st.lists(atom, min_size=2, max_size=4))
-    the_ideal = Ideal.generated_by(OutcomeSpace(n), gens)
+    the_ideal = Ideal(OutcomeSpace(n), gens)
     assume(len(the_ideal.generator_parities()) == 2)
     return the_ideal
 
