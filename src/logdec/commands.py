@@ -18,7 +18,7 @@ from . import __version__
 # process compiles only what it runs: only the census and `--gate`/`--table`
 # systems load `gates`.
 if TYPE_CHECKING:
-    from .core import Distribution, OutcomeSpace, Partition
+    from .core import Distribution, Partition
     from .ideals import Ideal
 
 DECOMPOSE_MAX_N = 16
@@ -30,7 +30,6 @@ class PreconditionError(Exception):
 
 
 class System(NamedTuple):
-    space: OutcomeSpace
     dist: Distribution | None
     variables: dict[str, Partition]
 
@@ -79,7 +78,7 @@ def parse_system(text: str) -> System:
             parts[name] = Partition(space, blocks)
         except ValueError as e:
             raise ValueError(f'variable "{name}": {e}') from None
-    return System(space=space, dist=dist, variables=parts)
+    return System(dist=dist, variables=parts)
 
 
 def _load_system(args) -> System:
@@ -106,7 +105,7 @@ def _load_system(args) -> System:
             raise ValueError("--table has an empty cell")
         gate = build_gate(args.nx, args.ny, cells)
     variables = {"X": gate.x, "Y": gate.y, "Z": gate.z}
-    return System(gate.space, Distribution.uniform(gate.space), variables)
+    return System(Distribution.uniform(gate.space), variables)
 
 
 def _pick_variables(system: System, names: list[str] | None) -> tuple[list[str], list[Partition]]:
@@ -202,7 +201,7 @@ def cmd_decompose(args, argv) -> None:
 
     system = _load_system(args)
     dist = _require_distribution(system)
-    space = system.space
+    space = dist.space
     if space.n > DECOMPOSE_MAX_N:
         raise CapacityError(
             f"decompose listing is capped at {DECOMPOSE_MAX_N} outcomes"

@@ -92,19 +92,6 @@ class OutcomeSpace(Value):
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown outcome label {label!r}") from None
-
-    def atom(self, *labels: str) -> int:
-        """Atom bit pattern from outcome labels."""
-        mask = 0
-        for lab in labels:
-            mask |= 1 << self.index_of(lab)
-        return mask
-
     def check_atom(self, atom) -> int:
         """The atom as an int mask: a mask of this space (check_mask) of degree >= 2."""
         mask = self.check_mask(atom)

@@ -149,13 +149,14 @@ def xlog2x(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def mu_table(weights) -> np.ndarray:
-    """mu of every mask (indexed by bit pattern); 0 at degrees below 2."""
+def mu_table(dist: Distribution) -> np.ndarray:
+    """mu of every mask under the distribution's weights (indexed by bit
+    pattern); 0 at degrees below 2.  Normalization is not required."""
     np = _numpy()
-    w = np.asarray(weights, dtype=np.float64)
-    n = w.shape[0]
+    n = dist.space.n
     if n > _TABLE_MAX_N:
         raise CapacityError(f"the measure table is capped at {_TABLE_MAX_N} outcomes, got {n}")
+    w = np.asarray(dist.weights, dtype=np.float64)
     m = np.zeros(1 << n, dtype=np.float64)
     for k in range(n):
         step = 1 << k

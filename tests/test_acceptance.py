@@ -9,6 +9,7 @@ import itertools
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from logdec import (
@@ -32,7 +33,7 @@ from logdec import (
     witness_distributions,
 )
 from logdec.commands import parse_system
-from logdec.core import common_refinement
+from logdec.core import common_refinement, degree
 from logdec.gates import ALWAYS_NEGATIVE, ZERO_COINFORMATION
 from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
 
@@ -346,3 +347,73 @@ def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
         ok = ok and abs(coinformation_numeric(w.dist, triadic_parts) - w.mu) < 1e-9
         details.append(f"triadic witness mu={w.mu:+.6f}")
     _report("one I-measure, two co-information ideals", ok, "; ".join(details))
+
+
+def _superset_moebius(ideal) -> list[int]:
+    """c(U) = sum over members T >= U of (-1)**|T - U|, from the membership
+    table of every mask, one outcome bit at a time."""
+    n = ideal.space.n
+    c = [0] * (1 << n)
+    for t in ideal.enumerate():
+        c[t] = 1
+    for b in range(n):
+        for u in range(1 << n):
+            if not u >> b & 1:
+                c[u] -= c[u | 1 << b]
+    return c
+
+
+def _exact_sign(c: list[int], masses: list[int]) -> tuple[int, int]:
+    """Sign of mu under the weights k / D, given the integer mass k_U of every
+    mask U (so D is the full mask's), and the larger compared integer's bit
+    length.
+
+    D * mu = sum c_U k_U log2 k_U - T log2 D with T = sum c_U k_U, so the
+    sign compares two integers: the product of k_U ** (c_U k_U) over
+    c_U > 0 times D ** max(0, -T) against the product of k_U ** (-c_U k_U)
+    over c_U < 0 times D ** max(0, T).
+    """
+    total = masses[-1]
+    t = sum(cu * m for cu, m in zip(c, masses))
+    above, below = total ** max(0, -t), total ** max(0, t)
+    for cu, m in zip(c, masses):
+        if cu > 0:
+            above *= m ** (cu * m)
+        elif cu < 0:
+            below *= m ** (-cu * m)
+    return (above > below) - (above < below), max(above, below).bit_length()
+
+
+def test_criterion_9_triadic_witness_signs_are_exact():
+    # The triadic witnesses of criterion 9, with integer weights: 50 on the
+    # cells of a pair generator, 33 on those of a triple (about the
+    # witnesses' epsilon 1e-2) and 1 elsewhere.  The sign is decided by
+    # comparing integers, with coefficients from a superset-Moebius pass
+    # over the membership table, independent of the measure's expansion;
+    # mu_ideal and a 60-digit evaluation of the same sum agree with it.
+    golden = Path(__file__).resolve().parent / "golden"
+    system = parse_system((golden / "system-triadic.json").read_text())
+    ideal = coinformation_content(list(system.variables.values()))
+    space = ideal.space
+    coeffs = _superset_moebius(ideal)
+    gens = ideal.sorted_generators()
+    cases = (
+        (next(g for g in gens if degree(g) == 2), 50, 1, 0.888384),
+        (next(g for g in gens if degree(g) == 3), 33, -1, -0.308418),
+    )
+    ok = True
+    details = []
+    for generator, heavy, expected_sign, expected_mu in cases:
+        k = [heavy if generator >> i & 1 else 1 for i in range(space.n)]
+        masses = [sum(w for i, w in enumerate(k) if u >> i & 1) for u in range(1 << space.n)]
+        sign, bits = _exact_sign(coeffs, masses)
+        total = masses[-1]
+        value = mu_ideal(Distribution(space, [w / total for w in k]), ideal)
+        with mpmath.workdps(60):
+            t = sum(cu * m for cu, m in zip(coeffs, masses))
+            scaled = mpmath.fsum(cu * m * mpmath.log(m, 2) for cu, m in zip(coeffs, masses) if m)
+            exact = (scaled - t * mpmath.log(total, 2)) / total
+        ok = ok and sign == expected_sign and abs(value - expected_mu) < 1e-6
+        ok = ok and abs(mpmath.mpf(value) - exact) < 1e-12
+        details.append(f"{space.format_atom(generator)}: sign {sign:+d} ({bits} bits)")
+    _report("exact signs of the triadic witnesses", ok, "; ".join(details))

@@ -52,7 +52,7 @@ class TestSystemFile:
         assert system.dist.weights == tuple(FIG_SYSTEM["p"])
         text = json.dumps(
             {
-                "outcomes": list(system.space.labels),
+                "outcomes": list(system.dist.space.labels),
                 "p": list(system.dist.weights),
                 "variables": {name: list(part.block_of) for name, part in system.variables.items()},
             }

@@ -59,9 +59,8 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError, match="must be strings"):
             OutcomeSpace(2, labels=(1, 2))
 
-    def test_atom_from_labels(self):
+    def test_atom_formats_as_its_labels(self):
         sp = OutcomeSpace(4)
-        assert sp.atom("1", "4") == 0b1001
         assert sp.format_atom(0b1011) == "124"
 
     def test_multichar_labels_join_with_commas(self):

@@ -225,7 +225,7 @@ class TestBulkTable:
             n = int(rng.integers(2, 8))
             sp = OutcomeSpace(n)
             dist = random_distribution(rng, sp)
-            table = mu_table(dist.weights)
+            table = mu_table(dist)
             for atom in range(1, sp.full_mask + 1):
                 if atom.bit_count() >= 2:
                     assert table[atom] == pytest.approx(mu_atom(dist, atom), abs=1e-12)
@@ -250,7 +250,7 @@ class TestBulkTable:
             sp = OutcomeSpace(n)
             dist = Distribution.uniform(sp)
             with pytest.raises(CapacityError):
-                mu_table(dist.weights)
+                mu_table(dist)
             # <12> expands over the masks outside {1, 2} joined with each
             # subset of {1, 2}: f(1) - 2 f(1 - 1/n) + f(1 - 2/n)
             f = lambda x: x * math.log2(x)
@@ -277,9 +277,9 @@ class TestBulkTable:
             rows[2] *= 7.3
             rows[3] = rng.uniform(0.0, 3.0, size=n)
             reference = _concatenate_kernel(rows)
-            for row, expected in zip(rows, reference):
-                assert np.array_equal(mu_table(row), expected), n
             sp = OutcomeSpace(n)
+            for row, expected in zip(rows, reference):
+                assert np.array_equal(mu_table(Distribution(sp, row)), expected), n
             for _ in range(3):
                 ideal = random_ideal(rng, sp, max_generators=12)
                 flags = np.zeros(1 << n, dtype=bool)
@@ -328,7 +328,7 @@ class TestBulkTable:
             n = int(rng.integers(2, 7))
             sp = OutcomeSpace(n)
             dist = Distribution(sp, tuple(rng.uniform(0.01, 5.0, size=n)))
-            table = mu_table(dist.weights)
+            table = mu_table(dist)
             for atom in range(1, sp.full_mask + 1):
                 if atom.bit_count() >= 2:
                     assert table[atom] == pytest.approx(mu_atom(dist, atom), abs=1e-10)
@@ -486,8 +486,9 @@ class TestAccuracy:
             weights = _top_atom_weights(rng, kind, n)
             exact = _oracle_top_atom(weights)
             top = (1 << n) - 1
-            table_value = mu_table(weights)[top]
-            atom_value = mu_atom(Distribution(OutcomeSpace(n), weights), top)
+            dist = Distribution(OutcomeSpace(n), weights)
+            table_value = mu_table(dist)[top]
+            atom_value = mu_atom(dist, top)
             assert abs(mpmath.mpf(float(table_value)) - exact) <= self.ABS_ERROR, n
             assert abs(mpmath.mpf(atom_value) - exact) <= self.ABS_ERROR, n
 
@@ -498,8 +499,9 @@ class TestAccuracy:
             weights = _top_atom_weights(rng, kind, n)
             exact = _oracle_top_atom(weights)
             top = (1 << n) - 1
-            table_value = mu_table(weights)[top]
-            atom_value = mu_atom(Distribution(OutcomeSpace(n), weights), top)
+            dist = Distribution(OutcomeSpace(n), weights)
+            table_value = mu_table(dist)[top]
+            atom_value = mu_atom(dist, top)
             assert abs(mpmath.mpf(float(table_value)) - exact) <= bound, n
             assert abs(mpmath.mpf(atom_value) - exact) <= bound, n
 

@@ -19,7 +19,8 @@ import logdec
 
 SRC = str(Path(logdec.__file__).resolve().parents[1])
 PROBE = (
-    "import json, os, logdec; logdec.mu_table([0.5, 0.5]); print(json.dumps({"
+    "import json, os, logdec; "
+    "logdec.mu_table(logdec.Distribution.uniform(logdec.OutcomeSpace(2))); print(json.dumps({"
     "'env': os.environ.get('OPENBLAS_NUM_THREADS'), "
     "'threads': len(os.listdir('/proc/self/task'))}))"
 )
