@@ -7,18 +7,37 @@ via --gate "xor:2x2" / --table "0,1,1,0" --nx 2 --ny 2 shortcuts.
 Reports go to stdout as aligned text or, with --json, as a JSON document
 with numbers at 12 significant digits; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 invalid input (any ValueError: a malformed
-system file or argument, or a value that OutcomeSpace, Distribution or
-Partition rejects), 3 capacity, 4 failed precondition (for example
-witness construction on a non-mixed system), 5 internal error (a
-violated internal invariant, reported on one line), 141 stdout closed
-before the report was written (as a shell reports a process ended by
-SIGPIPE; nothing is printed).
+Grammar (`logdec --help` prints USAGE, which lists every option):
+
+    logdec [--version | -h | --help]
+    logdec COMMAND [OPTION ...]
+
+COMMANDS is the one table of each command's options.  An option and its
+value are two arguments or one, `--opt=value`; a long option may be
+shortened to any prefix that names only one of the command's options; a
+repeated option keeps its last value; `-v`/`--variables` takes every
+value up to the next option.  A token that reads as a negative number
+(`-1`, `-.5`), a lone `-` and a token with a space that names no option
+are values, not options.  `-h`/`--help` prints the usage anywhere;
+`--version` only before the command.  An unknown option or a stray value
+is refused once the rest has parsed, so a later `--help` still prints
+the usage.
+
+Exit codes: 0 success, 2 invalid input (any ValueError: an argument the
+parser refuses, such as no or an unknown command, an unknown or
+ambiguous option, a missing or non-integer value, a value given to a
+flag or a census without --nx and --ny; a malformed system file; or a
+value that OutcomeSpace, Distribution or Partition rejects), 3 capacity, 4
+failed precondition (for example witness construction on a non-mixed
+system), 5 internal error (a violated internal invariant, reported on
+one line), 141 stdout closed before the report was written (as a shell
+reports a process ended by SIGPIPE; nothing is printed).  An argument
+error is one `error: ...` line on stderr, with nothing on stdout.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 
@@ -26,72 +45,188 @@ from . import __version__
 # so that `--version`, `--help` and argument errors compile this module
 # alone.
 
+# Each command's options and the type of their value: str and int take
+# one value, list one or more (`-v` is `--variables`), bool none (a
+# flag).  A flag defaults to False, --samples to 1000, the rest to None.
+_SYSTEM = {"file": str, "gate": str, "table": str, "nx": int, "ny": int}
+COMMANDS = {
+    "decompose": {**_SYSTEM, "variable": str, "json": bool},
+    "coinfo": {**_SYSTEM, "variables": list, "structure": bool, "json": bool},
+    "census": {"nx": int, "ny": int, "samples": int, "seed": int, "json": bool},
+    "witness": {**_SYSTEM, "variables": list, "json": bool},
+}
+_DEFAULTS = {"samples": 1000}
+_HELP = {"-h": "help", "--help": "help"}
+_TOP = {**_HELP, "--version": "version"}
 
-def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--file", help="JSON system description")
-    parser.add_argument("--gate", help='named gate, like "xor:2x2" or "or"')
-    parser.add_argument("--table", help='gate output table, like "0,1,1,0"')
-    parser.add_argument("--nx", type=int, help="gate rows (with --table)")
-    parser.add_argument("--ny", type=int, help="gate columns (with --table)")
+USAGE = """\
+usage: logdec [--version | -h | --help]
+       logdec COMMAND [OPTION ...]
+
+Signed-measure entropy decomposition and co-information structure.
+
+commands:
+  decompose  list atom measures and per-variable totals
+  coinfo     numeric co-information, optionally with structure
+  census     classify every gate of a given shape
+  witness    distributions giving both co-information signs
+
+system options of decompose, coinfo and witness (one of --file, --gate, --table):
+  --file PATH              JSON system description
+  --gate NAME              named gate, like "xor:2x2" or "or"
+  --table CELLS            gate output table, like "0,1,1,0"
+  --nx N, --ny N           gate rows and columns (with --table)
+
+decompose:
+  --variable NAME          restrict the listing to one variable's content
+coinfo:
+  -v, --variables NAME...  variable names (default: all)
+  --structure              also report the ideal
+census:
+  --nx N, --ny N           gate rows and columns (required)
+  --samples N              sign-survey samples per class (default 1000)
+  --seed N                 survey seed (default: generated, on stderr)
+witness:
+  -v, --variables NAME...  variable names (default: all)
+every command:
+  --json                   the report as JSON
+  -h, --help               this text
+
+Write an option and its value as two arguments or as --opt=value; a long
+option may be shortened to any unambiguous prefix (--struct); a repeated
+option keeps its last value."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logdec",
-        description="Signed-measure entropy decomposition and co-information structure",
-    )
-    parser.add_argument("--version", action="version", version=f"logdec {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _negative_number(token: str) -> bool:
+    """A value that starts with '-', not an option: -5, -0.5 or -.5."""
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
 
-    p = sub.add_parser("decompose", help="list atom measures and per-variable totals")
-    _add_system_arguments(p)
-    p.add_argument("--variable", help="restrict the listing to one variable's content")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("coinfo", help="numeric co-information, optionally with structure")
-    _add_system_arguments(p)
-    p.add_argument("-v", "--variables", nargs="+", help="variable names (default: all)")
-    p.add_argument("--structure", action="store_true", help="also report the ideal")
-    p.add_argument("--json", action="store_true")
+def _option(token: str, flags: dict) -> tuple[str, str | None] | None:
+    """The flag a token names and the value it carries after '=' (None
+    without one), or None when the token is a value.  A long option may be
+    any prefix of one flag (an ambiguous prefix is a ValueError).  An
+    unknown option, a value glued to `-v` (`-vNAME`) among them, comes back
+    as itself."""
+    if token[:1] != "-" or token == "-" or _negative_number(token):
+        return None
+    flag, eq, value = token.partition("=")
+    value = value if eq else None
+    if flag in flags:
+        return flag, value
+    if flag.startswith("--") and len(flag) > 2:
+        matches = [f for f in flags if f.startswith(flag)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option {flag}: could be {', '.join(matches)}")
+        if matches:
+            return matches[0], value
+    elif token[:2] in flags:
+        return token, None
+    return None if " " in token else (token, None)
 
-    p = sub.add_parser("census", help="classify every gate of a given shape")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("witness", help="distributions giving both co-information signs")
-    _add_system_arguments(p)
-    p.add_argument("-v", "--variables", nargs="+", help="variable names (default: all)")
-    p.add_argument("--json", action="store_true")
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the `cmd_*` functions read: `command` and each of its
+    options.  None once `--help` or `--version` has printed; a refused
+    argument list is a ValueError."""
+    stray = []  # unknown options and stray values, refused at the end
+    for at, token in enumerate(argv):
+        hit = _option(token, _TOP)
+        if hit is None:
+            break
+        flag, value = hit
+        if flag not in _TOP:
+            stray.append(token)
+        elif value is not None:
+            raise ValueError(f"{flag} takes no value")
+        else:
+            print(USAGE if _TOP[flag] == "help" else f"logdec {__version__}")
+            return None
+    else:
+        raise ValueError(f"no command given; choose one of {', '.join(COMMANDS)}")
+    command = argv[at]
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}; choose one of {', '.join(COMMANDS)}")
+    options = COMMANDS[command]
+    flags = {"--" + name: name for name in options} | _HELP
+    if "variables" in options:
+        flags["-v"] = "variables"
+    tokens = argv[at + 1:]
+    hits = [_option(token, flags) for token in tokens]  # an ambiguous prefix fails first
+    args = {name: False if kind is bool else _DEFAULTS.get(name) for name, kind in options.items()}
+    i = 0
+    while i < len(tokens):
+        token, hit = tokens[i], hits[i]
+        i += 1
+        if hit is None or hit[0] not in flags:
+            stray.append(token)
+            continue
+        flag, value = hit
+        name = flags[flag]
+        if name == "help" or options[name] is bool:
+            if value is not None:
+                raise ValueError(f"{flag} takes no value")
+            if name == "help":
+                print(USAGE)
+                return None
+            args[name] = True
+            continue
+        kind = options[name]
+        if value is None:
+            values = []
+            while i < len(tokens) and hits[i] is None and (kind is list or not values):
+                values.append(tokens[i])
+                i += 1
+        else:
+            values = [value]
+        if not values:
+            raise ValueError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                values = [int(values[0])]
+            except ValueError:
+                raise ValueError(f"{flag} takes an integer, got {values[0]!r}") from None
+        args[name] = values if kind is list else values[0]
+    if command == "census" and None in (args["nx"], args["ny"]):
+        raise ValueError("census needs --nx and --ny")
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(command=command, **args)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(argv)
+        code = 0 if args is None else _run(args, argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left (`| head`); devnull takes the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+def _run(args: SimpleNamespace, argv: list[str]) -> int:
+    """Run the command and map each exception past ValueError and a closed
+    stdout, which `main` handles, to its exit code."""
     from . import commands
     from .core import CapacityError
 
     try:
         getattr(commands, "cmd_" + args.command)(args, argv)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader left (`| head`); devnull takes the interpreter's last flush.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
         return 3
     except commands.PreconditionError as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (RuntimeError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 5

@@ -72,6 +72,10 @@ class OutcomeSpace(Value):
     __slots__ = ("n", "labels")
 
     def __init__(self, n: int, labels: tuple[str, ...] = ()):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"the outcome count is an integer, got {n!r}") from None
         if n < 1:
             raise ValueError("an outcome space needs at least one outcome")
         if n > MAX_OUTCOMES:
@@ -201,9 +205,13 @@ class Partition(Value):
             raise ValueError("block members must be integers") from None
         block_of = [-1] * space.n
         for b, members in enumerate(blocks):
+            if not members:
+                raise ValueError("blocks must not be empty")
             for i in members:
                 if not 0 <= i < space.n:
                     raise ValueError(f"block member {i} outside the outcome space")
+                if block_of[i] == b:
+                    raise ValueError(f"block member {i} listed twice in one block")
                 if block_of[i] != -1:
                     raise ValueError("blocks must be disjoint")
                 block_of[i] = b

@@ -1,4 +1,8 @@
+import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -10,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import logdec
-from logdec.cli import main
+from logdec.cli import COMMANDS, USAGE, main, parse_args
 from logdec.commands import parse_system
 
 SRC = str(Path(logdec.__file__).resolve().parents[1])
@@ -37,13 +41,216 @@ def run(capsys, *argv):
 
 
 def cli_process(*argv, **kwargs) -> subprocess.Popen:
-    """Start `python -m logdec.cli argv` on this source tree, with piped output."""
+    """Start `python -m logdec.cli argv` on this source tree, with piped
+    output unless `kwargs` say otherwise."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "logdec.cli", *argv], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs},
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line had before it parsed from its
+    own option table: the reference for every argument list below."""
+    def add_system_arguments(parser):
+        parser.add_argument("--file", help="JSON system description")
+        parser.add_argument("--gate", help='named gate, like "xor:2x2" or "or"')
+        parser.add_argument("--table", help='gate output table, like "0,1,1,0"')
+        parser.add_argument("--nx", type=int, help="gate rows (with --table)")
+        parser.add_argument("--ny", type=int, help="gate columns (with --table)")
+
+    parser = argparse.ArgumentParser(
+        prog="logdec",
+        description="Signed-measure entropy decomposition and co-information structure",
+    )
+    parser.add_argument("--version", action="version", version=f"logdec {logdec.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("decompose", help="list atom measures and per-variable totals")
+    add_system_arguments(p)
+    p.add_argument("--variable", help="restrict the listing to one variable's content")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("coinfo", help="numeric co-information, optionally with structure")
+    add_system_arguments(p)
+    p.add_argument("-v", "--variables", nargs="+", help="variable names (default: all)")
+    p.add_argument("--structure", action="store_true", help="also report the ideal")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("census", help="classify every gate of a given shape")
+    p.add_argument("--nx", type=int, required=True)
+    p.add_argument("--ny", type=int, required=True)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("witness", help="distributions giving both co-information signs")
+    add_system_arguments(p)
+    p.add_argument("-v", "--variables", nargs="+", help="variable names (default: all)")
+    p.add_argument("--json", action="store_true")
+
+    return parser
+
+
+ORACLE = build_parser()
+# Values for each option type, as written after the option: option-like
+# words, negative numbers, spaces and empty strings included.
+STR_VALUES = ["x", "", "-", "-1", "-.5", "a b", "-x y", "-vX y", "-x", "--bogus", "--json", "-h"]
+INT_VALUES = ["2", "0", "-1", " 3 ", "+4", "1_0", "٣", "x", "1.5", "", "-.5", "--json"]
+LIST_VALUES = [["X"], ["X", "Y"], ["X", "-1"], ["-", "a b"], [], ["-x"], ["--json"]]
+# argparse forms the table parser refuses on purpose: a value glued to -v.
+DROPPED = [["coinfo", "-vX"], ["coinfo", "--gate", "x", "-vab"], ["witness", "-vX=Y"]]
+NOT_AN_OPTION_OF = {
+    "decompose": ["--variables", "-v", "--structure", "--samples", "--seed", "--version"],
+    "coinfo": ["--variable", "--samples", "--seed", "--version"],
+    "census": ["--file", "--gate", "--table", "--variable", "-v", "--structure", "--version"],
+    "witness": ["--variable", "--structure", "--samples", "--seed", "--version"],
+}
+
+
+def _prefixes(flag: str) -> list[str]:
+    return [flag[:k] for k in range(3, len(flag))]
+
+
+def _option_forms(name: str, kind) -> list[list[str]]:
+    """Argument fragments that give one option: every value of its type in
+    the separate and the '=' form, and each shorter prefix of the name."""
+    flag = "--" + name
+    if kind is bool:
+        return [[f] for f in [flag, *_prefixes(flag)]] + [[flag + "=1"], [flag + "="]]
+    forms = []
+    values = {str: STR_VALUES, int: INT_VALUES, list: LIST_VALUES}[kind]
+    for value in values:
+        words = value if kind is list else [value]
+        forms.append([flag, *words])
+        if words:
+            forms.append([f"{flag}={words[0]}", *words[1:]])
+    forms += [[p, "7"] for p in _prefixes(flag)]
+    if kind is list:
+        forms += [["-v", *words] for words in LIST_VALUES] + [["-v=X"], ["-v=X", "Y"]]
+    return forms
+
+
+def _corpus() -> list[list[str]]:
+    corpus = [
+        [], ["foo"], ["coinf"], ["COINFO"], ["-1"], ["--"], ["--", "coinfo"], ["--json", "coinfo"],
+        ["--bogus", "coinfo"], ["--version=1"], ["--help=1"], ["-v", "coinfo"], *DROPPED,
+    ]
+    for command, options in COMMANDS.items():
+        base = [command] + (["--nx", "2", "--ny", "2"] if command == "census" else [])
+        for name, kind in options.items():
+            for form in _option_forms(name, kind):
+                corpus += [base + form, base + form + ["--json"], base + form + ["extra"]]
+            flag = "--" + name
+            corpus.append(base + ([flag, flag] if kind is bool else [flag, "1", flag, "2"]))
+            corpus.append(base + [flag])  # no value, or a flag alone
+        plain = {name: ["--" + name] + ([] if kind is bool else ["5"]) for name, kind in options.items()}
+        for pair in itertools.permutations(plain, 2):
+            corpus.append([command, *plain[pair[0]], *plain[pair[1]]])
+        corpus.append([command, *itertools.chain(*plain.values())])
+        corpus += [[*base, flag, "1"] for flag in NOT_AN_OPTION_OF[command]]
+        corpus += [base + ["--bogus"], base + ["stray"], base + ["--bogus", "-h"], base + ["-h"],
+                   base + ["--help"], base + ["--he"], base + ["-h=1"], base + ["--gate", "-h"],
+                   base + ["--"], base + ["--", "--json"], base + ["--=x"], [command, command]]
+    return corpus
+
+
+def _argparse_verdict(argv):
+    """('ok', vars of the namespace) or ('exit', code), from the reference."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "ok", vars(ORACLE.parse_args(argv))
+        except SystemExit as e:
+            return "exit", e.code
+
+
+class TestParser:
+    def test_corpus_parses_as_argparse_did(self, capsys):
+        corpus = _corpus()
+        assert len(corpus) > 1500
+        seen = set()
+        for argv in corpus:
+            verdict, value = _argparse_verdict(argv)
+            seen.add((verdict, value if verdict == "exit" else None))
+            if argv in DROPPED:
+                assert verdict == "ok", argv
+                verdict, value = "exit", 2
+            if verdict == "ok":
+                assert vars(parse_args(argv)) == value, argv
+                assert capsys.readouterr().out == "", argv
+            elif value == 0:
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and out.startswith(("usage: logdec", "logdec ")), argv
+            else:
+                with pytest.raises(ValueError):
+                    parse_args(argv)
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+        # the corpus reaches every verdict
+        assert seen == {("ok", None), ("exit", 0), ("exit", 2)}
+
+    def test_dropped_forms_are_named_in_the_error(self, capsys):
+        code, out, err = run(capsys, "coinfo", "--gate", "or:2x2", "-vX")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: -vX\n")
+
+    def test_version_before_the_command_only(self, capsys):
+        assert run(capsys, "--version") == (0, f"logdec {logdec.__version__}\n", "")
+        assert run(capsys, "--vers") == (0, f"logdec {logdec.__version__}\n", "")
+        code, out, err = run(capsys, "coinfo", "--gate", "or:2x2", "--version")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --version\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["census", "--help"], ["coinfo", "--nx", "2", "-h"]])
+    def test_help_prints_one_usage_text(self, capsys, argv):
+        assert run(capsys, *argv) == (0, USAGE + "\n", "")
+
+    def test_usage_lists_every_command_and_option(self):
+        for command, options in COMMANDS.items():
+            assert f"\n  {command} " in USAGE
+            for name in options:
+                assert f"--{name} " in USAGE or f"--{name}\n" in USAGE
+        assert "-v, --variables" in USAGE and "-h, --help" in USAGE
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "no command given"),
+            (["foo"], "unknown command 'foo'"),
+            (["coinfo", "--n", "2"], "ambiguous option --n: could be --nx, --ny"),
+            (["census", "--s", "2", "--nx", "2", "--ny", "2"], "ambiguous option --s"),
+            (["coinfo", "--bogus"], "unrecognized arguments: --bogus"),
+            (["census", "--gate", "or", "--nx", "2", "--ny", "2"], "unrecognized arguments: --gate or"),
+            (["coinfo", "--gate"], "--gate needs a value"),
+            (["coinfo", "-v", "--json"], "-v needs a value"),
+            (["census", "--nx", "two", "--ny", "2"], "--nx takes an integer, got 'two'"),
+            (["coinfo", "--json=1"], "--json takes no value"),
+            (["census", "--nx", "2"], "census needs --nx and --ny"),
+        ],
+    )
+    def test_argument_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # as a report does: exit 141 and nothing on stderr
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cli_process(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+    def test_argument_error_process_prints_no_traceback(self):
+        proc = cli_process("coinfo", "--bogus")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+        assert err == b"error: unrecognized arguments: --bogus\n"
 
 
 class TestSystemFile:

@@ -40,6 +40,16 @@ class TestOutcomeSpace:
         with pytest.raises(ValueError):
             OutcomeSpace(0)
 
+    @pytest.mark.parametrize("n", [2.0, "3", None])
+    def test_outcome_count_is_an_integer(self, n):
+        # read through operator.index, as masks are: no TypeError from range or <
+        with pytest.raises(ValueError, match="outcome count is an integer"):
+            OutcomeSpace(n)
+
+    def test_outcome_count_reads_numpy_integers(self):
+        assert OutcomeSpace(np.int64(3)) == OutcomeSpace(3)
+        assert type(OutcomeSpace(np.int64(3)).n) is int
+
     def test_labels_unique_and_counted(self):
         with pytest.raises(ValueError):
             OutcomeSpace(2, labels=("a", "a"))
@@ -283,6 +293,17 @@ class TestPartition:
         assert p.blocks() == [[0, 2], [1], [3]]
         with pytest.raises(ValueError):
             Partition.from_blocks(sp, [[0, 1], [1, 2], [3]])
+
+    def test_from_blocks_rejects_an_empty_block(self):
+        # it used to vanish, building {1,2} | {3} from three blocks
+        with pytest.raises(ValueError, match="blocks must not be empty"):
+            Partition.from_blocks(OutcomeSpace(3), [[0, 1], [2], []])
+
+    def test_from_blocks_names_a_member_listed_twice_in_one_block(self):
+        with pytest.raises(ValueError, match="block member 0 listed twice in one block"):
+            Partition.from_blocks(OutcomeSpace(3), [[0, 0, 1], [2]])
+        with pytest.raises(ValueError, match="blocks must be disjoint"):
+            Partition.from_blocks(OutcomeSpace(3), [[0, 1], [1, 2]])
 
     @pytest.mark.parametrize("blocks", [[[0, 1], [-1]], [[0, 1], [2, 3]]])
     def test_from_blocks_rejects_members_outside_the_space(self, blocks):

@@ -4,7 +4,8 @@ census loads `secrets` (with `hmac`, `hashlib` and `base64`) or
 `inspect` (with `ast`, `dis` and `tokenize`), and no command loads
 `dataclasses`.  Each command loads only the logdec modules it runs, and
 `--version`, `--help` and argument errors load neither `json` nor
-`logdec.commands`."""
+`logdec.commands`.  No command loads `argparse`, `gettext` or `locale`:
+the command line parses from its own option table."""
 
 import json
 import os
@@ -26,7 +27,7 @@ PROBE = (
 )
 # Runs the CLI, then reports on stderr which of these modules were ever
 # imported, and which logdec modules.
-PROBED = ("numpy", "secrets", "inspect", "dataclasses", "json")
+PROBED = ("numpy", "secrets", "inspect", "dataclasses", "json", "argparse", "gettext", "locale")
 CLI_PROBE = (
     "import sys\n"
     "from logdec.cli import main\n"
@@ -123,6 +124,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     assert set(loaded["logdec"].split(",")) == modules
     # json comes in with `commands`, for the reports and system files
     assert loaded["json"] == str(modules != FRONT)
+    # the census's numpy loads textwrap, but none of these
+    assert loaded["argparse"] == loaded["gettext"] == loaded["locale"] == "False"
 
 
 class TestBlasThreads:
