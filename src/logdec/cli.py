@@ -7,21 +7,12 @@ via --gate "xor:2x2" / --table "0,1,1,0" --nx 2 --ny 2 shortcuts.
 Reports go to stdout as aligned text or, with --json, as a JSON document
 with numbers at 12 significant digits; diagnostics go to stderr.
 
-Grammar (`logdec --help` prints USAGE, which lists every option):
-
-    logdec [--version | -h | --help]
-    logdec COMMAND [OPTION ...]
-
-COMMANDS is the one table of each command's options.  An option and its
-value are two arguments or one, `--opt=value`; a long option may be
-shortened to any prefix that names only one of the command's options; a
-repeated option keeps its last value; `-v`/`--variables` takes every
-value up to the next option.  A token that reads as a negative number
-(`-1`, `-.5`), a lone `-` and a token with a space that names no option
-are values, not options.  `-h`/`--help` prints the usage anywhere;
-`--version` only before the command.  An unknown option or a stray value
-is refused once the rest has parsed, so a later `--help` still prints
-the usage.
+USAGE, which `logdec --help` prints, states the grammar.  Beyond it: a
+token that reads as a negative number (`-1`, `-.5`), a lone `-` and a
+token with a space that names no option are values, not options; `--`
+and every token after it are stray; and an unknown option or a stray
+value is refused once the rest has parsed, so a later `--help` still
+prints the usage.
 
 Exit codes: 0 success, 2 invalid input (any ValueError: an argument the
 parser refuses, such as no or an unknown command, an unknown or
@@ -114,71 +105,59 @@ def _option(token: str, flags: dict) -> tuple[str, str | None] | None:
     if token[:1] != "-" or token == "-" or _negative_number(token):
         return None
     flag, eq, value = token.partition("=")
-    value = value if eq else None
-    if flag in flags:
-        return flag, value
-    if flag.startswith("--") and len(flag) > 2:
+    if flag not in flags and flag.startswith("--") and len(flag) > 2:
         matches = [f for f in flags if f.startswith(flag)]
         if len(matches) > 1:
             raise ValueError(f"ambiguous option {flag}: could be {', '.join(matches)}")
-        if matches:
-            return matches[0], value
-    elif token[:2] in flags:
-        return token, None
-    return None if " " in token else (token, None)
+        flag = matches[0] if matches else flag
+    if flag in flags:
+        return flag, value if eq else None
+    return None if " " in token and token[:2] not in flags else (token, None)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace | None:
     """The namespace the `cmd_*` functions read: `command` and each of its
     options.  None once `--help` or `--version` has printed; a refused
     argument list is a ValueError."""
+    # Before the command the flags are _TOP's; from it on, the command's.
+    command, options, flags, args = None, {}, _TOP, {}
+    hits = [_option(token, flags) for token in argv]
     stray = []  # unknown options and stray values, refused at the end
-    for at, token in enumerate(argv):
-        hit = _option(token, _TOP)
-        if hit is None:
-            break
-        flag, value = hit
-        if flag not in _TOP:
-            stray.append(token)
-        elif value is not None:
-            raise ValueError(f"{flag} takes no value")
-        else:
-            print(USAGE if _TOP[flag] == "help" else f"logdec {__version__}")
-            return None
-    else:
-        raise ValueError(f"no command given; choose one of {', '.join(COMMANDS)}")
-    command = argv[at]
-    if command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r}; choose one of {', '.join(COMMANDS)}")
-    options = COMMANDS[command]
-    flags = {"--" + name: name for name in options} | _HELP
-    if "variables" in options:
-        flags["-v"] = "variables"
-    tokens = argv[at + 1:]
-    hits = [_option(token, flags) for token in tokens]  # an ambiguous prefix fails first
-    args = {name: False if kind is bool else _DEFAULTS.get(name) for name, kind in options.items()}
     i = 0
-    while i < len(tokens):
-        token, hit = tokens[i], hits[i]
+    while i < len(argv):
+        token, hit = argv[i], hits[i]
         i += 1
+        if token == "--":
+            stray += argv[i - 1:]
+            break
+        if hit is None and command is None:
+            command, options = token, COMMANDS.get(token)
+            if options is None:
+                raise ValueError(f"unknown command {token!r}; choose one of {', '.join(COMMANDS)}")
+            flags = {"--" + name: name for name in options} | _HELP
+            if "variables" in options:
+                flags["-v"] = "variables"
+            hits[i:] = [_option(t, flags) for t in argv[i:]]  # an ambiguous prefix fails first
+            args = {name: False if kind is bool else _DEFAULTS.get(name) for name, kind in options.items()}
+            continue
         if hit is None or hit[0] not in flags:
             stray.append(token)
             continue
         flag, value = hit
         name = flags[flag]
-        if name == "help" or options[name] is bool:
+        kind = options.get(name, bool)  # help and version belong to no command
+        if kind is bool:
             if value is not None:
                 raise ValueError(f"{flag} takes no value")
-            if name == "help":
-                print(USAGE)
+            if name in ("help", "version"):
+                print(USAGE if name == "help" else f"logdec {__version__}")
                 return None
             args[name] = True
             continue
-        kind = options[name]
         if value is None:
             values = []
-            while i < len(tokens) and hits[i] is None and (kind is list or not values):
-                values.append(tokens[i])
+            while i < len(argv) and hits[i] is None and (kind is list or not values):
+                values.append(argv[i])
                 i += 1
         else:
             values = [value]
@@ -190,6 +169,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             except ValueError:
                 raise ValueError(f"{flag} takes an integer, got {values[0]!r}") from None
         args[name] = values if kind is list else values[0]
+    if command is None:
+        raise ValueError(f"no command given; choose one of {', '.join(COMMANDS)}")
     if command == "census" and None in (args["nx"], args["ny"]):
         raise ValueError("census needs --nx and --ny")
     if stray:

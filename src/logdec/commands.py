@@ -53,6 +53,8 @@ def parse_system(text: str) -> System:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:  # a RuntimeError, which would exit 5 as an internal error
+        raise ValueError("the JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("system file must be a JSON object")
     unknown = set(data) - SYSTEM_KEYS
@@ -85,6 +87,8 @@ def _load_system(args) -> System:
     sources = [s for s in (args.file, args.gate, args.table) if s is not None]
     if len(sources) != 1:
         raise ValueError("give exactly one of --file, --gate, --table")
+    if args.table is None and (args.nx, args.ny) != (None, None):
+        raise ValueError("--nx and --ny go with --table")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:

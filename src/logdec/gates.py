@@ -64,8 +64,6 @@ class GateSystem(NamedTuple):
 class GateClassification(NamedTuple):
     """Structural and empirical verdict for one canonical gate class."""
 
-    nx: int
-    ny: int
     table: tuple[int, ...]
     orbit_size: int
     ideal: Ideal
@@ -197,8 +195,6 @@ def classify_gate(
                     "this falsifies the expected sign structure"
                 )
     return GateClassification(
-        nx=gate.nx,
-        ny=gate.ny,
         table=first_occurrence_relabel(gate.table),
         orbit_size=orbit_size,
         ideal=ideal,

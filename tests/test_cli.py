@@ -102,6 +102,22 @@ INT_VALUES = ["2", "0", "-1", " 3 ", "+4", "1_0", "٣", "x", "1.5", "", "-.5", "
 LIST_VALUES = [["X"], ["X", "Y"], ["X", "-1"], ["-", "a b"], [], ["-x"], ["--json"]]
 # argparse forms the table parser refuses on purpose: a value glued to -v.
 DROPPED = [["coinfo", "-vX"], ["coinfo", "--gate", "x", "-vab"], ["witness", "-vX=Y"]]
+# Argument lists that straddle the command, where the parser switches from
+# the top-level flags to the command's.
+BOUNDARY = [
+    ["--bogus"], ["--bogus", "--help"], ["--help", "--bogus"], ["--bogus", "--version"],
+    ["-h", "foo"], ["--version", "coinfo"], ["--vers", "--bogus"], ["--version=", "coinfo"],
+    ["coinfo", "--help", "--version"], ["coinfo", "census"], ["-1", "coinfo"], ["a b", "coinfo"],
+    ["--he", "coinfo", "--n"], ["coinfo", "--n", "--help"], ["--bogus", "census", "--nx", "2"],
+]
+# `--` ends the options: what follows it is no option, and no command takes a
+# positional argument.
+END_OF_OPTIONS = [
+    ["--", "--help"], ["--", "-h"], ["--", "--version"], ["coinfo", "--", "--help"],
+    ["census", "--nx", "2", "--ny", "2", "--", "--help"], ["--", "coinfo"],
+    ["coinfo", "-v", "--", "X"], ["coinfo", "-v", "X", "--", "Y"], ["--help", "--"],
+    ["coinfo", "--help", "--"],
+]
 NOT_AN_OPTION_OF = {
     "decompose": ["--variables", "-v", "--structure", "--samples", "--seed", "--version"],
     "coinfo": ["--variable", "--samples", "--seed", "--version"],
@@ -137,6 +153,7 @@ def _corpus() -> list[list[str]]:
     corpus = [
         [], ["foo"], ["coinf"], ["COINFO"], ["-1"], ["--"], ["--", "coinfo"], ["--json", "coinfo"],
         ["--bogus", "coinfo"], ["--version=1"], ["--help=1"], ["-v", "coinfo"], *DROPPED,
+        *BOUNDARY, *END_OF_OPTIONS,
     ]
     for command, options in COMMANDS.items():
         base = [command] + (["--nx", "2", "--ny", "2"] if command == "census" else [])
@@ -285,6 +302,11 @@ class TestSystemFile:
         with pytest.raises(Exception, match=r"line 1, column"):
             parse_system("{nope}")
 
+    def test_deep_nesting_is_a_value_error(self):
+        depth = 100_000
+        with pytest.raises(ValueError, match="nests too deeply"):
+            parse_system('{"outcomes": ' + "[" * depth + "]" * depth + "}")
+
     @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
     def test_non_finite_weights_rejected(self, weight):
         text = '{"outcomes": ["a", "b"], "p": [%s, 0.5], "variables": {"X": [0, 1]}}' % weight
@@ -341,6 +363,14 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--file", str(path))
         assert code == 2
         assert "line" in err
+
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        # json's RecursionError is a RuntimeError, which would exit 5
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"outcomes": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, "decompose", "--file", str(path))
+        assert (code, out, err) == (2, "", "error: the JSON nests too deeply\n")
 
     def test_huge_block_index_exits_2_at_once(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -459,6 +489,14 @@ class TestCoinfo:
             code, out, err = run(capsys, command, "--gate", "or:2x2", "-v", "X")
             assert code == 2 and out == ""
             assert err == "error: co-information needs at least two variable names\n"
+
+    def test_gate_sides_go_with_table_only(self, capsys, fig_file):
+        # --gate xor --nx 3 --ny 3 once answered for the 2x2 XOR
+        for source in (["--gate", "xor"], ["--file", fig_file]):
+            code, out, err = run(capsys, "coinfo", *source, "--nx", "3", "--ny", "3")
+            assert (code, out, err) == (2, "", "error: --nx and --ny go with --table\n")
+        code, out, _ = run(capsys, "coinfo", "--table", "0,1,1,0", "--nx", "2", "--ny", "2")
+        assert code == 0 and "= -1.000000 bits" in out
 
     def test_unknown_variable_name(self, capsys):
         code, _, err = run(capsys, "coinfo", "--gate", "or:2x2", "-v", "X", "W")
