@@ -264,17 +264,6 @@ def cmd_coinfo(args, argv) -> None:
     _emit(args, argv, results, lines)
 
 
-def _survey_dict(survey) -> dict:
-    return {
-        "samples": survey.samples,
-        "positive": survey.positive,
-        "negative": survey.negative,
-        "zero": survey.zero,
-        "min": survey.min_value,
-        "max": survey.max_value,
-    }
-
-
 def cmd_census(args, argv) -> None:
     from .gates import ALWAYS_NEGATIVE, census, check_census_arguments
 
@@ -284,23 +273,32 @@ def cmd_census(args, argv) -> None:
         seed = int.from_bytes(os.urandom(4), "big")
         print(f"generated seed: {seed}", file=sys.stderr)
     classifications = census(args.nx, args.ny, samples=args.samples, seed=seed)
-    rows = []
-    for c in classifications:
-        row = {
+    rows = [
+        {
             "table": list(c.table),
             "orbit_size": c.orbit_size,
             "generators": _format_generators(c.ideal),
             "degrees": list(c.ideal.degree_profile()),
             "parity": c.parity.tag if c.parity else None,
-            "survey": _survey_dict(c.survey),
+            "survey": {
+                "samples": c.survey.samples,
+                "positive": c.survey.positive,
+                "negative": c.survey.negative,
+                "zero": c.survey.zero,
+                "min": c.survey.min_value,
+                "max": c.survey.max_value,
+            },
             "verdict": c.verdict,
             "seed": c.survey.seed,
+            **{
+                side: {"p": list(w.dist.weights), "mu": w.mu}
+                for side, w in (("witness_positive", c.witness_positive),
+                                ("witness_negative", c.witness_negative))
+                if w is not None
+            },
         }
-        for side, w in (("witness_positive", c.witness_positive),
-                        ("witness_negative", c.witness_negative)):
-            if w is not None:
-                row[side] = {"p": list(w.dist.weights), "mu": w.mu}
-        rows.append(row)
+        for c in classifications
+    ]
     negatives = sum(1 for c in classifications if c.verdict == ALWAYS_NEGATIVE)
     results = {
         "nx": args.nx,

@@ -48,13 +48,21 @@ ALWAYS_NONNEGATIVE_OR_ZERO = "AlwaysNonnegativeOrZero"
 MIXED_SIGN = "MixedSign"
 ZERO_COINFORMATION = "ZeroCoinformation"
 
+# The named 2x2 gates' outputs, row-major: f(0,0), f(0,1), f(1,0), f(1,1).
+_TRUTH_TABLES = {
+    "or": (0, 1, 1, 1),
+    "and": (0, 0, 0, 1),
+    "nor": (1, 0, 0, 0),
+    "nand": (1, 1, 1, 0),
+    "xnor": (1, 0, 0, 1),
+}
+
 
 class GateSystem(NamedTuple):
     """Joint space of (X, Y, Z = f(X, Y)) with the three marginal partitions."""
 
     nx: int
     ny: int
-    table: tuple
     space: OutcomeSpace
     x: Partition
     y: Partition
@@ -92,7 +100,7 @@ def build_gate(nx: int, ny: int, table) -> GateSystem:
     x = Partition(space, [w // ny for w in range(nx * ny)])
     y = Partition(space, [w % ny for w in range(nx * ny)])
     z = Partition(space, first_occurrence_relabel(table))
-    return GateSystem(nx=nx, ny=ny, table=table, space=space, x=x, y=y, z=z)
+    return GateSystem(nx=nx, ny=ny, space=space, x=x, y=y, z=z)
 
 
 def named_gate(spec: str) -> GateSystem:
@@ -112,17 +120,10 @@ def named_gate(spec: str) -> GateSystem:
         if nx != ny:
             raise ValueError("xor needs equal input alphabets")
         table = [(i + j) % nx for i, j in pairs]
-    elif name in ("or", "and", "nor", "nand", "xnor"):
+    elif name in _TRUTH_TABLES:
         if (nx, ny) != (2, 2):
             raise ValueError(f"{name} is a 2x2 gate")
-        fn = {
-            "or": lambda i, j: i | j,
-            "and": lambda i, j: i & j,
-            "nor": lambda i, j: 1 - (i | j),
-            "nand": lambda i, j: 1 - (i & j),
-            "xnor": lambda i, j: 1 - (i ^ j),
-        }[name]
-        table = [fn(i, j) for i, j in pairs]
+        table = _TRUTH_TABLES[name]
     elif name == "copyx":
         table = [i for i, _ in pairs]
     elif name == "copyy":
@@ -152,7 +153,7 @@ def canonicalize(gate: GateSystem) -> tuple[int, ...]:
     output relabelling; equal exactly for isomorphic gates."""
     if math.factorial(gate.nx) * math.factorial(gate.ny) > CANONICAL_MAX_MAPS:
         raise CapacityError(f"canonical forms are capped at {CANONICAL_MAX_MAPS} input maps")
-    return min(_orbit(gate.table, _input_permutations(gate.nx, gate.ny)))
+    return min(_orbit(gate.z.block_of, _input_permutations(gate.nx, gate.ny)))
 
 
 def classify_gate(
@@ -161,44 +162,37 @@ def classify_gate(
     seed: int = 0,
     orbit_size: int = 1,
 ) -> GateClassification:
-    """Classify one gate: triple ideal, parity, survey, witnesses, verdict."""
+    """Classify one gate: triple ideal, parity, survey, witnesses, verdict.
+
+    The verdict is ZeroCoinformation for the empty ideal, MixedSign (with
+    both witnesses) for StronglyMixed, AlwaysNegative for CertifiedOdd with
+    every sample negative, and AlwaysNonnegativeOrZero for pure even
+    generators with no negative sample; anything else is a RuntimeError.
+    """
     ideal = coinformation_content([gate.x, gate.y, gate.z])
     survey = sign_survey(ideal, samples, seed)
-    parity_class: ParityClass | None = None
+    parity = None if ideal.is_empty else classify_parity(ideal)
     witness_positive = witness_negative = None
-    if ideal.is_empty:
+    if parity is None:
         verdict = ZERO_COINFORMATION
+    elif parity.tag == STRONGLY_MIXED:
+        witness_positive, witness_negative = witness_distributions(ideal)
+        verdict = MIXED_SIGN
+    elif parity.tag == CERTIFIED_ODD and survey.positive == 0 < survey.negative:
+        verdict = ALWAYS_NEGATIVE
+    elif ideal.generator_parities() == {0} and survey.negative == 0:
+        verdict = ALWAYS_NONNEGATIVE_OR_ZERO
     else:
-        parity_class = classify_parity(ideal)
-        parities = ideal.generator_parities()
-        if parity_class.tag == STRONGLY_MIXED:
-            witness_positive, witness_negative = witness_distributions(ideal)
-            verdict = MIXED_SIGN
-        elif parities == {1}:
-            if (
-                parity_class.tag == CERTIFIED_ODD
-                and survey.positive == 0
-                and survey.negative > 0
-            ):
-                verdict = ALWAYS_NEGATIVE
-            else:
-                raise RuntimeError(
-                    f"odd-generated gate ideal resisted classification: "
-                    f"parity={parity_class.tag}, survey +{survey.positive}/-{survey.negative}"
-                )
-        else:
-            if survey.negative == 0:
-                verdict = ALWAYS_NONNEGATIVE_OR_ZERO
-            else:
-                raise RuntimeError(
-                    "pair-generated gate ideal produced a negative sample; "
-                    "this falsifies the expected sign structure"
-                )
+        raise RuntimeError(
+            f"gate ideal contradicts its sign structure: generator parities "
+            f"{sorted(ideal.generator_parities())}, parity {parity.tag}, "
+            f"survey +{survey.positive}/-{survey.negative}/0:{survey.zero}"
+        )
     return GateClassification(
-        table=first_occurrence_relabel(gate.table),
+        table=gate.z.block_of,
         orbit_size=orbit_size,
         ideal=ideal,
-        parity=parity_class,
+        parity=parity,
         survey=survey,
         verdict=verdict,
         witness_positive=witness_positive,

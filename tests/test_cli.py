@@ -643,6 +643,20 @@ class TestInternalErrors:
         assert err.startswith("internal error: generator degree bound violated")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_survey_against_the_gate_structure_exits_5(self, capsys, monkeypatch):
+        from logdec.parity import SignSurvey
+
+        # every survey reads one negative sample: the pure even classes contradict it
+        monkeypatch.setattr(
+            "logdec.gates.sign_survey",
+            lambda ideal, samples, seed: SignSurvey(samples, 0, 1, -1.0, 0.0, (), (), seed),
+        )
+        code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--seed", "1")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: gate ideal contradicts its sign structure")
+        assert "parity Undetermined" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCensusCommand:
     def test_two_by_two_summary(self, capsys):

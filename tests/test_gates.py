@@ -27,12 +27,49 @@ from logdec.gates import (
     ZERO_COINFORMATION,
     expected_class_total,
 )
-from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
+from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED, SignSurvey
 
 from conftest import A, random_distribution
 
 
+# Each named gate's output f(i, j) on an n-symbol input pair, as defined.
+GATE_DEFINITIONS = {
+    "or": lambda i, j, n: i | j,
+    "and": lambda i, j, n: i & j,
+    "nor": lambda i, j, n: 1 - (i | j),
+    "nand": lambda i, j, n: 1 - (i & j),
+    "xnor": lambda i, j, n: 1 - (i ^ j),
+    "xor": lambda i, j, n: (i + j) % n,
+    "copyx": lambda i, j, n: i,
+    "copyy": lambda i, j, n: j,
+    "const": lambda i, j, n: 0,
+}
+
+
+def restricted_growth(values) -> tuple[int, ...]:
+    """Labels 0, 1, 2, ... in order of first occurrence."""
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
+
+
 class TestBuildGate:
+    @pytest.mark.parametrize(
+        "spec",
+        ["or:2x2", "and:2x2", "nor:2x2", "nand:2x2", "xnor:2x2", "xor:2x2", "xor:3x3",
+         "xor:4x4", "copyx:2x3", "copyy:2x3", "const:2x3"],
+    )
+    def test_named_gate_outputs_follow_the_definition(self, spec):
+        name, shape = spec.split(":")
+        nx, ny = (int(side) for side in shape.split("x"))
+        g = named_gate(spec)
+        assert (g.nx, g.ny) == (nx, ny)
+        table = [GATE_DEFINITIONS[name](i, j, nx) for i in range(nx) for j in range(ny)]
+        assert g.z.block_of == restricted_growth(table)
+
+    def test_two_by_two_names_refuse_other_shapes(self):
+        with pytest.raises(ValueError, match="nand is a 2x2 gate"):
+            named_gate("nand:2x3")
+
     def test_xor_output_partition(self):
         g = named_gate("xor:2x2")
         assert g.z == Partition.from_blocks(g.space, [[0, 3], [1, 2]])
@@ -69,6 +106,10 @@ class TestCanonicalize:
 
     def test_input_and_output_flips_merge_or_and_and(self):
         assert canonicalize(named_gate("or:2x2")) == canonicalize(named_gate("and:2x2"))
+
+    def test_relabelled_table_canonicalizes_as_xor(self):
+        gate = build_gate(2, 2, ["b", "a", "a", "b"])
+        assert canonicalize(gate) == canonicalize(named_gate("xor")) == (0, 1, 1, 0)
 
     def test_canonical_form_is_idempotent(self):
         g = named_gate("or:2x2")
@@ -162,6 +203,37 @@ class TestClassifyGate:
         table = [(7 * i + i // 5) % 3 for i in range(24)]
         gc = classify_gate(build_gate(2, 12, table), samples=200, seed=1)
         assert gc.verdict == MIXED_SIGN and gc.witness_negative.mu < 0
+
+
+class TestVerdictRule:
+    @staticmethod
+    def survey(positive, negative, samples=100):
+        return SignSurvey(samples, positive, negative, -1.0, 1.0, (), (), 0)
+
+    @pytest.mark.parametrize(
+        "spec, positive, negative, parities, tag",
+        [
+            # pure even pair generators, yet a negative sample
+            ("copyx:2x2", 99, 1, [0], UNDETERMINED),
+            # the odd certificate, yet no negative sample, or a positive one
+            ("xor:2x2", 0, 0, [1], CERTIFIED_ODD),
+            ("xor:2x2", 40, 60, [1], CERTIFIED_ODD),
+        ],
+    )
+    def test_a_survey_against_the_structure_is_an_internal_error(
+        self, monkeypatch, spec, positive, negative, parities, tag
+    ):
+        monkeypatch.setattr(
+            "logdec.gates.sign_survey",
+            lambda ideal, samples, seed: self.survey(positive, negative),
+        )
+        with pytest.raises(RuntimeError) as info:
+            classify_gate(named_gate(spec))
+        message = str(info.value)
+        assert f"generator parities {parities}" in message
+        assert f"parity {tag}" in message
+        zero = 100 - positive - negative
+        assert f"survey +{positive}/-{negative}/0:{zero}" in message
 
 
 class TestCensus:
