@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader left (`| head`); devnull takes the interpreter's last flush.
+        # The reader left (`| head`); devnull takes the last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except ValueError as e:
@@ -214,5 +214,19 @@ def _run(args: SimpleNamespace, argv: list[str]) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry of `python -m logdec.cli` and the `logdec` script:
+    once stdout and stderr are flushed (a failed flush is ignored), `main`'s
+    code ends the process through `os._exit`, which skips the interpreter's
+    teardown, its atexit handlers and finalizers included."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,6 +33,7 @@ from .parity import (
     ParityClass,
     SignSurvey,
     Witness,
+    _as_int,
     classify_parity,
     sign_survey,
     witness_distributions,
@@ -224,14 +225,14 @@ def _check_census_sides(nx: int, ny: int) -> None:
 
 
 def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> None:
-    """Reject census arguments before any work: ValueError below the
-    minimum (a seed may be None, for one still to be drawn),
-    CapacityError above the caps."""
+    """Reject census arguments before any work: ValueError for a sample
+    count or seed that is not an integer or is below the minimum (a seed
+    may be None, for one still to be drawn), CapacityError above the caps."""
     if nx < 1 or ny < 1:
         raise ValueError("census sides need at least one symbol")
-    if samples < 1:
+    if _as_int(samples, "the sample count") < 1:
         raise ValueError("surveys need at least one sample")
-    if seed is not None and seed < 0:
+    if seed is not None and _as_int(seed, "the seed") < 0:
         raise ValueError("census seeds must be nonnegative")
     _check_census_sides(nx, ny)
     if samples > SURVEY_MAX_SAMPLES:

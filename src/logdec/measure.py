@@ -71,7 +71,7 @@ def mu_set(dist: Distribution, atoms: Iterable[int]) -> float:
     """Sum of mu over the set of the given atoms, each counted once, in
     ascending bit-pattern order; anything that is not an atom of the
     space is a ValueError."""
-    return sum(mu_atom(dist, a) for a in sorted({dist.space.check_atom(a) for a in atoms}))
+    return sum((mu_atom(dist, a) for a in sorted({dist.space.check_atom(a) for a in atoms})), 0.0)
 
 
 def entropy(dist: Distribution, part: Partition) -> float:

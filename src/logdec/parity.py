@@ -24,6 +24,7 @@ shapes on that VM.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, NamedTuple
 
 from .core import CapacityError, Distribution, atom_bits, degree
@@ -218,8 +219,19 @@ def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
     )
 
 
+def _as_int(value, name: str) -> int:
+    """The value as an int, read by operator.index (numpy integers pass);
+    anything else is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} is an integer, got {value!r}") from None
+
+
 def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
     """Sample the simplex uniformly and record the sign of the ideal's measure."""
+    samples = _as_int(samples, "the sample count")
+    seed = _as_int(seed, "the seed")
     if samples < 1:
         raise ValueError("surveys need at least one sample")
     if samples > SURVEY_MAX_SAMPLES:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import logdec
+import logdec.cli
 from logdec.cli import COMMANDS, USAGE, main, parse_args
 from logdec.commands import parse_system
 
@@ -268,6 +269,56 @@ class TestParser:
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (2, b"")
         assert err == b"error: unrecognized arguments: --bogus\n"
+
+
+class TestProcessEntry:
+    """A `python -m logdec.cli` process ends through `cli.run`: the report
+    is flushed, then `os._exit` ends the process with `main`'s code."""
+
+    def test_report_beyond_a_pipe_buffer_arrives_whole(self, capsys):
+        argv = ["decompose", "--file", str(GOLDEN / "system-12x2.json"), "--json"]
+        proc = cli_process(*argv)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert len(out) > 1 << 18
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and out == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["census", "--nx", "4", "--ny", "4"], 3),
+            (["witness", "--file", str(GOLDEN / "system-dyadic.json")], 4),
+        ],
+    )
+    def test_failure_codes_and_their_one_line(self, capsys, argv, code):
+        proc = cli_process(*argv)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (code, b"")
+        assert err.count(b"\n") == 1 and err.endswith(b"\n")
+        assert run(capsys, *argv) == (code, "", err.decode())
+
+    def test_failed_flush_keeps_the_code(self, monkeypatch):
+        class Closed:
+            def flush(self):
+                raise BrokenPipeError
+
+        exits = []
+        monkeypatch.setattr(logdec.cli, "main", lambda: 3)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        monkeypatch.setattr(sys, "stderr", Closed())
+        monkeypatch.setattr(os, "_exit", exits.append)
+        logdec.cli.run()
+        assert exits == [3]
+
+    def test_escaping_exception_ends_as_python_ends_it(self):
+        program = "import logdec.cli as cli\ncli.main = lambda: 1 / 0\ncli.run()\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", program], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"Traceback") and b"ZeroDivisionError" in proc.stderr
 
 
 class TestSystemFile:

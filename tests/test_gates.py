@@ -316,3 +316,17 @@ class TestCensus:
         monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
         with pytest.raises(ValueError, match="seeds must be nonnegative"):
             census(2, 2, seed=-1)
+
+    @pytest.mark.parametrize(
+        "samples, seed, name",
+        [(5.5, 1, "sample count"), ("5", 1, "sample count"), (5, 1.5, "seed"), (5, "1", "seed")],
+    )
+    def test_samples_and_seed_are_integers(self, monkeypatch, samples, seed, name):
+        def enumerate_classes(nx, ny):
+            raise AssertionError("classes were enumerated before validation")
+
+        monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
+        with pytest.raises(ValueError, match=f"the {name} is an integer, got"):
+            census(2, 2, samples=samples, seed=seed)
+        with pytest.raises(ValueError, match=f"the {name} is an integer, got"):
+            classify_gate(named_gate("or"), samples=samples, seed=seed)

@@ -71,6 +71,10 @@ class TestMuSet:
         sp = OutcomeSpace(3)
         assert mu_set(Distribution.uniform(sp), ()) == 0.0
 
+    def test_every_sum_is_a_float(self):
+        d = Distribution.uniform(OutcomeSpace(3))
+        assert type(mu_set(d, [])) is type(mu_set(d, [A("12")])) is float
+
     def test_pair_ideal_value(self):
         sp = OutcomeSpace(3)
         d = Distribution.uniform(sp)

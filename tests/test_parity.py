@@ -448,6 +448,19 @@ class TestSurveys:
         with pytest.raises(ValueError):
             sign_survey(OR_IDEAL, 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "samples, seed, name",
+        [(5.5, 1, "sample count"), ("5", 1, "sample count"), (5, 1.5, "seed"), (5, "1", "seed"), (5, None, "seed")],
+    )
+    def test_samples_and_seed_are_integers(self, samples, seed, name):
+        with pytest.raises(ValueError, match=f"the {name} is an integer, got"):
+            sign_survey(OR_IDEAL, samples, seed)
+
+    def test_numpy_integers_read_as_ints(self):
+        sv = sign_survey(OR_IDEAL, np.int64(20), np.int64(1))
+        assert sv == sign_survey(OR_IDEAL, 20, 1)
+        assert type(sv.samples) is type(sv.seed) is int
+
     def test_counts_must_add_up(self):
         # zero is derived from the other counts, so no record can disagree
         sv = sign_survey(OR_IDEAL, 20, seed=1)
