@@ -21,9 +21,10 @@ flag or a census without --nx and --ny; a malformed system file; or a
 value that OutcomeSpace, Distribution or Partition rejects), 3 capacity, 4
 failed precondition (for example witness construction on a non-mixed
 system), 5 internal error (a violated internal invariant, reported on
-one line), 141 stdout closed before the report was written (as a shell
-reports a process ended by SIGPIPE; nothing is printed).  An argument
-error is one `error: ...` line on stderr, with nothing on stdout.
+one line), 141 stdout closed before the report was written, by a reader
+that left or before the process started (as a shell reports a process
+ended by SIGPIPE; nothing is printed).  An argument error is one
+`error: ...` line on stderr, with nothing on stdout.
 """
 
 import os
@@ -183,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         code = 0 if args is None else _run(args, argv)
+        if sys.stdout is None:  # fd 1 was closed at start: no report was written
+            return code or 141
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -220,7 +223,7 @@ def run() -> None:
     code ends the process through `os._exit`, which skips the interpreter's
     teardown, its atexit handlers and finalizers included."""
     code = main()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
         try:
             stream.flush()
         except OSError:

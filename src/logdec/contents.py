@@ -16,6 +16,7 @@ from .core import (
     CapacityError,
     Distribution,
     Partition,
+    as_int,
     common_refinement,
     degree,
     first_occurrence_relabel,
@@ -129,6 +130,7 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
 
 def count_expressions(n: int) -> int:
     """Number of atom subsets over n outcomes: 2**(2**n - n - 1), exact."""
+    n = as_int(n, "the outcome count is an integer")
     if n < 1:
         raise ValueError("need at least one outcome")
     if n > MAX_OUTCOMES:

@@ -19,6 +19,15 @@ class CapacityError(Exception):
     """An operation would exceed the fixed enumeration capacity."""
 
 
+def as_int(value, rule: str) -> int:
+    """The one reader of an integer a caller passes in: operator.index
+    (numpy integers and bools pass), or a ValueError stating the rule."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{rule}, got {value!r}") from None
+
+
 def degree(atom: int) -> int:
     """Number of outcomes in an atom bit pattern."""
     return atom.bit_count()
@@ -72,10 +81,7 @@ class OutcomeSpace(Value):
     __slots__ = ("n", "labels")
 
     def __init__(self, n: int, labels: tuple[str, ...] = ()):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"the outcome count is an integer, got {n!r}") from None
+        n = as_int(n, "the outcome count is an integer")
         if n < 1:
             raise ValueError("an outcome space needs at least one outcome")
         if n > MAX_OUTCOMES:
@@ -107,10 +113,7 @@ class OutcomeSpace(Value):
         """The mask as an int, once it is a set of outcomes of this space
         (of any degree).  Any integer passes (numpy's included); anything
         else is a ValueError."""
-        try:
-            mask = operator.index(mask)
-        except TypeError:
-            raise ValueError(f"an atom is an integer mask, got {mask!r}") from None
+        mask = as_int(mask, "an atom is an integer mask")
         if mask < 0 or mask >> self.n:
             raise ValueError(
                 f"atom outside the outcome space: masks are nonnegative and below 2**{self.n}"
@@ -176,10 +179,7 @@ class Partition(Value):
     __slots__ = ("space", "block_of", "block_masks")
 
     def __init__(self, space: OutcomeSpace, block_of):
-        try:
-            block_of = tuple(operator.index(b) for b in block_of)
-        except TypeError:
-            raise ValueError("block indices must be integers") from None
+        block_of = tuple(as_int(b, "block indices must be integers") for b in block_of)
         if len(block_of) != space.n:
             raise ValueError("block assignment must cover every outcome")
         if any(b < 0 for b in block_of):
@@ -199,10 +199,7 @@ class Partition(Value):
     @classmethod
     def from_blocks(cls, space: OutcomeSpace, blocks) -> "Partition":
         """Partition from its blocks: disjoint lists of integer outcome indices."""
-        try:
-            blocks = [[operator.index(i) for i in members] for members in blocks]
-        except TypeError:
-            raise ValueError("block members must be integers") from None
+        blocks = [[as_int(i, "block members must be integers") for i in members] for members in blocks]
         block_of = [-1] * space.n
         for b, members in enumerate(blocks):
             if not members:

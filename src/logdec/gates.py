@@ -20,6 +20,7 @@ from .core import (
     CapacityError,
     OutcomeSpace,
     Partition,
+    as_int,
     first_occurrence_relabel,
     restricted_growth_strings,
 )
@@ -33,13 +34,13 @@ from .parity import (
     ParityClass,
     SignSurvey,
     Witness,
-    _as_int,
     classify_parity,
     sign_survey,
     witness_distributions,
 )
 
 CENSUS_MAX_SIDE = 3
+_SIDE_RULE = "a gate side is an integer"
 # canonicalize lists all nx! * ny! input permutations: on a 2-core VM 2x8
 # (80 640) took 0.4-0.7 s and 34 MB, 3x8 (241 920) 1.7-2.9 s and 135 MB.
 CANONICAL_MAX_MAPS = 100_000
@@ -85,7 +86,7 @@ class GateClassification(NamedTuple):
 
 def _check_shape(nx: int, ny: int) -> None:
     """Reject a gate shape before anything of size nx * ny is built."""
-    if nx < 1 or ny < 1:
+    if as_int(nx, _SIDE_RULE) < 1 or as_int(ny, _SIDE_RULE) < 1:
         raise ValueError("input alphabets need at least one symbol")
     if nx * ny > MAX_OUTCOMES:
         raise CapacityError(f"a {nx}x{ny} gate exceeds the cap of {MAX_OUTCOMES} outcomes")
@@ -225,14 +226,15 @@ def _check_census_sides(nx: int, ny: int) -> None:
 
 
 def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> None:
-    """Reject census arguments before any work: ValueError for a sample
-    count or seed that is not an integer or is below the minimum (a seed
-    may be None, for one still to be drawn), CapacityError above the caps."""
-    if nx < 1 or ny < 1:
+    """Reject census arguments before any work: ValueError for a side,
+    sample count or seed that is not an integer or is below the minimum
+    (a seed may be None, for one still to be drawn), CapacityError above
+    the caps."""
+    if as_int(nx, _SIDE_RULE) < 1 or as_int(ny, _SIDE_RULE) < 1:
         raise ValueError("census sides need at least one symbol")
-    if _as_int(samples, "the sample count") < 1:
+    if as_int(samples, "the sample count is an integer") < 1:
         raise ValueError("surveys need at least one sample")
-    if seed is not None and _as_int(seed, "the seed") < 0:
+    if seed is not None and as_int(seed, "the seed is an integer") < 0:
         raise ValueError("census seeds must be nonnegative")
     _check_census_sides(nx, ny)
     if samples > SURVEY_MAX_SAMPLES:

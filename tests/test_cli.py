@@ -311,6 +311,19 @@ class TestProcessEntry:
         logdec.cli.run()
         assert exits == [3]
 
+    @pytest.mark.parametrize("argv", [["--version"], ["coinfo", "--gate", "xor"]])
+    def test_stdout_closed_at_start_is_141(self, argv):
+        proc = cli_process(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_main_without_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["--version"]) == 141
+        assert main(["census", "--nx", "4", "--ny", "4"]) == 3
+        assert main(["bogus"]) == 2
+        assert capsys.readouterr().err.count("\n") == 2
+
     def test_escaping_exception_ends_as_python_ends_it(self):
         program = "import logdec.cli as cli\ncli.main = lambda: 1 / 0\ncli.run()\n"
         proc = subprocess.run(

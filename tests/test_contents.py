@@ -550,3 +550,11 @@ class TestCounting:
                 for _ in itertools.combinations(atoms, r)
             )
             assert explicit == count_expressions(n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_outcome_count_is_an_integer(self, n):
+        with pytest.raises(ValueError, match="the outcome count is an integer, got"):
+            count_expressions(n)
+
+    def test_reads_numpy_integers(self):
+        assert count_expressions(np.int64(3)) == 16

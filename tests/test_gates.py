@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from logdec import (
@@ -330,3 +332,29 @@ class TestCensus:
             census(2, 2, samples=samples, seed=seed)
         with pytest.raises(ValueError, match=f"the {name} is an integer, got"):
             classify_gate(named_gate("or"), samples=samples, seed=seed)
+
+    @pytest.mark.parametrize("bad", [2.0, "2", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nx, ny: census(nx, ny, samples=5, seed=1),
+            canonical_classes,
+            lambda nx, ny: build_gate(nx, ny, [0, 1, 1, 0]),
+        ],
+        ids=["census", "canonical_classes", "build_gate"],
+    )
+    def test_sides_are_integers(self, monkeypatch, call, bad):
+        # refused before the permutation list, as a side past a cap is
+        def listed(nx, ny):
+            raise AssertionError(f"the {nx}x{ny} permutation list was built")
+
+        monkeypatch.setattr("logdec.gates._input_permutations", listed)
+        for nx, ny in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"a gate side is an integer, got {bad!r}")):
+                call(nx, ny)
+
+    def test_numpy_and_bool_sides_classify(self):
+        assert census(np.int64(2), True, samples=20, seed=1) == census(2, 1, samples=20, seed=1)
+        assert canonical_classes(True, np.int64(3)) == canonical_classes(1, 3)
+        gate = build_gate(np.int64(2), np.int64(2), [0, 1, 1, 0])
+        assert classify_gate(gate, samples=20) == classify_gate(named_gate("xor"), samples=20)
