@@ -12,11 +12,11 @@ of variables whose co-information content is exactly that ideal.
 from __future__ import annotations
 
 from .core import (
-    MAX_OUTCOMES,
     CapacityError,
     Distribution,
+    OutcomeSpace,
     Partition,
-    as_int,
+    as_tuple,
     common_refinement,
     degree,
     first_occurrence_relabel,
@@ -45,6 +45,15 @@ def content_bruteforce(part: Partition) -> tuple[int, ...]:
     return tuple(m for m in range(3, part.space.full_mask + 1) if part.crosses(m))
 
 
+def _variables(parts) -> tuple[Partition, ...]:
+    """The variables of a co-information: a sequence of one Partition or more."""
+    rule = "co-information needs a sequence of one or more partitions"
+    parts = as_tuple(parts, rule)
+    if not parts or not all(isinstance(p, Partition) for p in parts):
+        raise ValueError(f"{rule}, got {parts!r}")
+    return parts
+
+
 def coinformation_content(parts: list[Partition]) -> Ideal:
     """Intersection of the variables' contents, as a minimal antichain.
 
@@ -58,8 +67,7 @@ def coinformation_content(parts: list[Partition]) -> Ideal:
     (2 when M is 1, since contents are pair-generated); a violation would
     falsify that bound and is raised loudly rather than swallowed.
     """
-    if not parts:
-        raise ValueError("co-information needs at least one variable")
+    parts = _variables(parts)
     space = same_space(*parts)
     edges = [space.full_mask & ~b for p in parts for b in p.block_masks]
     spend = step_meter("the co-information content")
@@ -88,8 +96,7 @@ def coinformation_numeric(dist: Distribution, parts: list[Partition]) -> float:
     refinement (its lowest variable's with the rest's), + for odd sizes
     and - for even ones.  This route never touches the measure and
     serves as its oracle."""
-    if not parts:
-        raise ValueError("co-information needs at least one variable")
+    parts = _variables(parts)
     check_variable_capacity(len(parts))
     joint = [None] * (1 << len(parts))
     total = 0.0
@@ -130,9 +137,5 @@ def ideal_to_variables(ideal: Ideal) -> list[Partition]:
 
 def count_expressions(n: int) -> int:
     """Number of atom subsets over n outcomes: 2**(2**n - n - 1), exact."""
-    n = as_int(n, "the outcome count is an integer")
-    if n < 1:
-        raise ValueError("need at least one outcome")
-    if n > MAX_OUTCOMES:
-        raise CapacityError(f"expression counting is capped at {MAX_OUTCOMES} outcomes")
+    n = OutcomeSpace(n).n  # the one outcome-count rule
     return 1 << ((1 << n) - n - 1)

@@ -28,6 +28,15 @@ def as_int(value, rule: str) -> int:
         raise ValueError(f"{rule}, got {value!r}") from None
 
 
+def as_tuple(values, rule: str, read=None) -> tuple:
+    """The one reader of a sequence a caller passes in: its items, each
+    through `read` if given, or a ValueError stating the rule on a TypeError."""
+    try:
+        return tuple(values if read is None else map(read, values))
+    except TypeError:
+        raise ValueError(f"{rule}, got {values!r}") from None
+
+
 def degree(atom: int) -> int:
     """Number of outcomes in an atom bit pattern."""
     return atom.bit_count()
@@ -88,7 +97,8 @@ class OutcomeSpace(Value):
             raise CapacityError(
                 f"outcome spaces are capped at {MAX_OUTCOMES} outcomes, got {n}"
             )
-        labels = tuple(labels) or tuple(str(i + 1) for i in range(n))
+        labels = as_tuple(labels, "outcome labels are a sequence of strings")
+        labels = labels or tuple(str(i + 1) for i in range(n))
         if len(labels) != n:
             raise ValueError("label count must match outcome count")
         if not all(isinstance(lab, str) for lab in labels):
@@ -140,7 +150,7 @@ class Distribution(Value):
 
     def __init__(self, space: OutcomeSpace, weights: tuple[float, ...]):
         try:
-            weights = tuple(float(w) for w in weights)
+            weights = as_tuple(weights, "weights are a sequence of numbers", float)
         except OverflowError:  # an integer beyond the double range
             raise ValueError("weights must be finite numbers") from None
         if len(weights) != space.n:
@@ -179,7 +189,8 @@ class Partition(Value):
     __slots__ = ("space", "block_of", "block_masks")
 
     def __init__(self, space: OutcomeSpace, block_of):
-        block_of = tuple(as_int(b, "block indices must be integers") for b in block_of)
+        rule = "a block assignment is a sequence of integers"
+        block_of = as_tuple(block_of, rule, lambda b: as_int(b, "block indices must be integers"))
         if len(block_of) != space.n:
             raise ValueError("block assignment must cover every outcome")
         if any(b < 0 for b in block_of):
@@ -199,7 +210,8 @@ class Partition(Value):
     @classmethod
     def from_blocks(cls, space: OutcomeSpace, blocks) -> "Partition":
         """Partition from its blocks: disjoint lists of integer outcome indices."""
-        blocks = [[as_int(i, "block members must be integers") for i in members] for members in blocks]
+        rule, member = "blocks are sequences of outcome indices", "block members must be integers"
+        blocks = [as_tuple(b, rule, lambda i: as_int(i, member)) for b in as_tuple(blocks, rule)]
         block_of = [-1] * space.n
         for b, members in enumerate(blocks):
             if not members:
@@ -260,19 +272,13 @@ def same_space(*operands) -> OutcomeSpace:
 
 
 def restricted_growth_strings(m: int):
-    """All restricted-growth strings of length m: set partitions of m items."""
-    prefix: list[int] = []
-
-    def rec(mx: int):
-        if len(prefix) == m:
-            yield tuple(prefix)
-            return
-        for v in range(mx + 2):
-            prefix.append(v)
-            yield from rec(max(mx, v))
-            prefix.pop()
-
-    yield from rec(-1)
+    """All restricted-growth strings of length m, ascending: set partitions of m items."""
+    if m == 0:
+        yield ()
+        return
+    for prefix in restricted_growth_strings(m - 1):
+        for v in range(max(prefix, default=-1) + 2):
+            yield prefix + (v,)
 
 
 def all_partitions(space: OutcomeSpace):

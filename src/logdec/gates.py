@@ -21,6 +21,7 @@ from .core import (
     OutcomeSpace,
     Partition,
     as_int,
+    as_tuple,
     first_occurrence_relabel,
     restricted_growth_strings,
 )
@@ -95,7 +96,7 @@ def _check_shape(nx: int, ny: int) -> None:
 def build_gate(nx: int, ny: int, table) -> GateSystem:
     """Gate system from a row-major output table of length nx * ny."""
     _check_shape(nx, ny)
-    table = tuple(table)
+    table = as_tuple(table, "a gate table is a sequence of outputs")
     if len(table) != nx * ny:
         raise ValueError(f"table must list {nx * ny} outputs, got {len(table)}")
     space = OutcomeSpace(nx * ny)
@@ -209,13 +210,14 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     perms = _input_permutations(nx, ny)
     seen: set[tuple[int, ...]] = set()
     classes = []
+    # Orbit members are first-occurrence relabellings, so strings met in
+    # this ascending walk: the first member met is the orbit's least.
     for table in restricted_growth_strings(nx * ny):
         if table in seen:
             continue
         orbit = _orbit(table, perms)
         seen |= orbit
-        classes.append((min(orbit), len(orbit)))
-    classes.sort()
+        classes.append((table, len(orbit)))
     return classes
 
 

@@ -21,6 +21,7 @@ from .core import (
     CapacityError,
     OutcomeSpace,
     Value,
+    as_tuple,
     atom_bits,
     degree,
     same_space,
@@ -141,7 +142,8 @@ class Ideal(Value):
 
     def __init__(self, space: OutcomeSpace, generators: Iterable[int]):
         self.space = space
-        self.generators = minimal_antichain(space.check_atom(g) for g in generators)
+        generators = as_tuple(generators, "an ideal's generators are atoms", space.check_atom)
+        self.generators = minimal_antichain(generators)
 
     @classmethod
     def _of_antichain(cls, space: OutcomeSpace, antichain: Iterable[int]) -> "Ideal":

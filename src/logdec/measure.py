@@ -29,6 +29,7 @@ from .core import (
     CapacityError,
     Distribution,
     Partition,
+    as_tuple,
     atom_bits,
     first_occurrence_relabel,
     same_space,
@@ -71,7 +72,8 @@ def mu_set(dist: Distribution, atoms: Iterable[int]) -> float:
     """Sum of mu over the set of the given atoms, each counted once, in
     ascending bit-pattern order; anything that is not an atom of the
     space is a ValueError."""
-    return sum((mu_atom(dist, a) for a in sorted({dist.space.check_atom(a) for a in atoms})), 0.0)
+    atoms = as_tuple(atoms, "mu_set takes a sequence of atoms", dist.space.check_atom)
+    return sum((mu_atom(dist, a) for a in sorted(set(atoms))), 0.0)
 
 
 def entropy(dist: Distribution, part: Partition) -> float:

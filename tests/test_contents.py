@@ -558,3 +558,13 @@ class TestCounting:
 
     def test_reads_numpy_integers(self):
         assert count_expressions(np.int64(3)) == 16
+
+    def test_outcome_count_follows_the_outcome_space_rule(self):
+        # the one outcome-count rule: at least 1, at most 24
+        with pytest.raises(ValueError, match="an outcome space needs at least one outcome"):
+            count_expressions(0)
+        with pytest.raises(CapacityError, match="outcome spaces are capped at 24 outcomes, got 25"):
+            count_expressions(25)
+        assert count_expressions(1) == 1
+        assert count_expressions(24) == 1 << (2**24 - 25)
+        assert count_expressions(True) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,18 @@ from logdec import (
     Partition,
     all_partitions,
     atom_bits,
+    build_gate,
     coinformation_content,
+    coinformation_numeric,
     common_coarsening,
     common_refinement,
     entropy,
     enumerate_complex,
     mu_ideal,
+    mu_set,
+    named_gate,
 )
+from logdec.core import restricted_growth_strings
 
 from conftest import random_distribution, random_partition
 
@@ -423,3 +429,103 @@ class TestRefinementAndCoarsening:
         pairs = [(p, q), (q, p), (meet, p), (p, join), (join, p), (discrete, r), (r, whole), (r, discrete)]
         for a, b in pairs:
             assert a.refines(b) == self._refines_pairwise(a, b)
+
+
+def _restricted_growth_reference(m):
+    """The recursion that enumerated restricted-growth strings before:
+    one shared prefix, pushed and popped."""
+    prefix = []
+
+    def rec(mx):
+        if len(prefix) == m:
+            yield tuple(prefix)
+            return
+        for v in range(mx + 2):
+            prefix.append(v)
+            yield from rec(max(mx, v))
+            prefix.pop()
+
+    yield from rec(-1)
+
+
+class TestRestrictedGrowthStrings:
+    @pytest.mark.parametrize("m", range(11))
+    def test_same_strings_in_the_same_order_as_the_recursion(self, m):
+        assert list(restricted_growth_strings(m)) == list(_restricted_growth_reference(m))
+
+    def test_all_partitions_keeps_its_order(self):
+        sp = OutcomeSpace(5)
+        assert [p.block_of for p in all_partitions(sp)] == list(_restricted_growth_reference(5))
+
+
+_VARIABLES_RULE = "co-information needs a sequence of one or more partitions"
+
+
+class TestSequenceInputs:
+    """Every sequence a library caller passes in is read by one rule,
+    core.as_tuple: what is not a sequence of the right items is a
+    ValueError naming the rule and the value given."""
+
+    sp = OutcomeSpace(3)
+    dist = Distribution.uniform(sp)
+    x = Partition(sp, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "call, rule, given",
+        [
+            (lambda s, d, x: OutcomeSpace(3, 5), "outcome labels are a sequence of strings", 5),
+            (lambda s, d, x: Distribution(s, 5), "weights are a sequence of numbers", 5),
+            (lambda s, d, x: Distribution(s, [None] * 3), "weights are a sequence of numbers", [None] * 3),
+            (lambda s, d, x: Partition(s, 5), "a block assignment is a sequence of integers", 5),
+            (lambda s, d, x: Partition.from_blocks(s, 5), "blocks are sequences of outcome indices", 5),
+            (lambda s, d, x: Partition.from_blocks(s, [5]), "blocks are sequences of outcome indices", 5),
+            (lambda s, d, x: Ideal(s, 5), "an ideal's generators are atoms", 5),
+            (lambda s, d, x: build_gate(2, 2, 5), "a gate table is a sequence of outputs", 5),
+            (lambda s, d, x: mu_set(d, 5), "mu_set takes a sequence of atoms", 5),
+            (lambda s, d, x: coinformation_numeric(d, 5), _VARIABLES_RULE, 5),
+            (lambda s, d, x: coinformation_content([x, 5]), _VARIABLES_RULE, None),
+            (lambda s, d, x: coinformation_numeric(d, [x, 5]), _VARIABLES_RULE, None),
+            (lambda s, d, x: coinformation_content([]), _VARIABLES_RULE, ()),
+        ],
+        ids=[
+            "labels", "weights", "weight-items", "block_of", "from_blocks", "from_blocks-block",
+            "ideal", "gate-table", "mu_set", "coinformation_numeric", "content-item",
+            "numeric-item", "no-variables",
+        ],
+    )
+    def test_a_non_sequence_is_a_value_error(self, call, rule, given):
+        expected = f"{rule}, got " + ("" if given is None else repr(given))
+        with pytest.raises(ValueError, match="^" + re.escape(expected)):
+            call(self.sp, self.dist, self.x)
+
+    def test_numpy_sequences_integers_and_bools_still_read(self):
+        sp = self.sp
+        assert OutcomeSpace(3, np.array(["a", "b", "c"])).labels == ("a", "b", "c")
+        assert Distribution(sp, np.array([1, 2, 3])).weights == (1.0, 2.0, 3.0)
+        assert Partition(sp, np.array([0, True, np.int64(1)])) == self.x
+        assert Partition.from_blocks(sp, (np.array([0]), [True, np.int8(2)])) == self.x
+        assert Ideal(sp, np.array([3, 5])) == Ideal(sp, [3, 5])
+        assert mu_set(self.dist, iter([np.int64(3)])) == mu_set(self.dist, [3])
+        assert build_gate(2, 2, np.array([0, 1, 1, 0])).z == named_gate("xor").z
+        assert coinformation_content((self.x,)) == coinformation_content([self.x])
+        assert coinformation_numeric(self.dist, (self.x,)) == entropy(self.dist, self.x)
+
+    def test_an_iterator_is_read_once(self):
+        # co-information used to consume an iterator of variables in its
+        # space check and then see none
+        y = Partition(self.sp, [0, 0, 1])
+        assert coinformation_content(iter([self.x, y])) == coinformation_content([self.x, y])
+        assert coinformation_numeric(self.dist, iter([self.x, y])) == coinformation_numeric(
+            self.dist, [self.x, y]
+        )
+        assert Ideal(self.sp, iter([3, 5])) == Ideal(self.sp, [3, 5])
+
+    def test_item_rules_keep_their_messages(self):
+        with pytest.raises(ValueError, match=re.escape("block indices must be integers, got 1.5")):
+            Partition(self.sp, [0, 1.5, 2])
+        with pytest.raises(ValueError, match=re.escape("block members must be integers, got 1.0")):
+            Partition.from_blocks(self.sp, [[0, 1.0], [2]])
+        with pytest.raises(ValueError, match=re.escape("an atom is an integer mask, got 3.0")):
+            Ideal(self.sp, [3.0])
+        with pytest.raises(ValueError, match="weights must be finite numbers"):
+            Distribution(self.sp, [10**400, 0, 0])

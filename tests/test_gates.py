@@ -29,6 +29,7 @@ from logdec.gates import (
     ZERO_COINFORMATION,
     expected_class_total,
 )
+from logdec.core import restricted_growth_strings
 from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED, SignSurvey
 
 from conftest import A, random_distribution
@@ -144,6 +145,24 @@ class TestCanonicalize:
         canon = canonicalize(g)
         assert canon == canonicalize(build_gate(2, 8, canon))
         assert canon[0] == 0 and sorted(set(canon)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("nx", [1, 2, 3])
+    @pytest.mark.parametrize("ny", [1, 2, 3])
+    def test_canonical_classes_match_the_least_member_of_each_orbit(self, nx, ny):
+        # reference: each output structure's orbit under row and column
+        # permutations and relabelling, its least member and size, sorted
+        maps = [
+            [rows[i] * ny + cols[j] for i in range(nx) for j in range(ny)]
+            for rows in itertools.permutations(range(nx))
+            for cols in itertools.permutations(range(ny))
+        ]
+        seen, reference = set(), []
+        for table in restricted_growth_strings(nx * ny):
+            if table not in seen:
+                orbit = {restricted_growth(table[p] for p in perm) for perm in maps}
+                seen |= orbit
+                reference.append((min(orbit), len(orbit)))
+        assert canonical_classes(nx, ny) == sorted(reference)
 
     def test_orbit_sizes_divide_the_input_group(self):
         for nx, ny in [(2, 2), (3, 2)]:

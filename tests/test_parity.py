@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from logdec import (
     Partition,
     SignSurvey,
     atom_bits,
+    build_gate,
+    canonical_classes,
     classify_parity,
     coinformation_content,
     coinformation_numeric,
@@ -32,6 +35,7 @@ from logdec.parity import (
     UNDETERMINED,
     _expansions,
 )
+from logdec.commands import parse_system
 from logdec.ideals import step_meter
 from logdec.measure import EQ_TOL
 
@@ -151,6 +155,21 @@ class TestClassification:
         assert built == []
 
 
+def _leaf_expansion(the_ideal):
+    """The ideal's unique signed leaf expansion {leaf: coefficient}: the
+    subset-Moebius inverse of its membership table."""
+    n = the_ideal.space.n
+    masks = np.arange(1 << n)
+    coeff = np.zeros(1 << n, dtype=np.int64)
+    for g in the_ideal.generators:
+        coeff[(masks & g) == g] = 1
+    for b in range(n):
+        step = 1 << b
+        v = coeff.reshape(-1, 2 * step)
+        v[:, step:] -= v[:, :step]
+    return {int(m): int(c) for m, c in enumerate(coeff) if c}
+
+
 class TestCertificates:
     def test_certificate_is_the_moebius_inverse_of_membership(self, rng):
         # The leaf measures mu(<a>) are linearly independent, so an ideal has
@@ -166,15 +185,7 @@ class TestCertificates:
             parities = the_ideal.generator_parities()
             if len(parities) == 2:
                 continue
-            masks = np.arange(1 << n)
-            coeff = np.zeros(1 << n, dtype=np.int64)
-            for g in the_ideal.generators:
-                coeff[(masks & g) == g] = 1
-            for b in range(n):
-                step = 1 << b
-                v = coeff.reshape(-1, 2 * step)
-                v[:, step:] -= v[:, :step]
-            leaves = {int(m): int(c) for m, c in enumerate(coeff) if c}
+            leaves = _leaf_expansion(the_ideal)
             target = 1 if parities == {0} else -1
             uniform = all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
             pc = classify_parity(the_ideal)
@@ -226,6 +237,49 @@ class TestCertificates:
         for _ in range(200):
             dist = random_distribution(rng, XOR_IDEAL.space)
             assert mu_ideal(dist, XOR_IDEAL) <= 1e-9
+
+
+def _contract_ideals():
+    """Every nonempty 2x2, 2x3 and 3x2 census class, the 12x2 and dyadic
+    golden systems, and a certified-even pair chain, which no gate has."""
+    for nx, ny in ((2, 2), (2, 3), (3, 2)):
+        for table, _ in canonical_classes(nx, ny):
+            gate = build_gate(nx, ny, table)
+            the_ideal = coinformation_content([gate.x, gate.y, gate.z])
+            if not the_ideal.is_empty:
+                yield f"{nx}x{ny} {table}", the_ideal
+    golden = Path(__file__).parent / "golden"
+    for name in ("system-12x2.json", "system-dyadic.json"):
+        system = parse_system((golden / name).read_text())
+        yield name, coinformation_content(list(system.variables.values()))
+    yield "pair chain", ideal(4, "12", "23")
+
+
+class TestParityContract:
+    def test_a_certificate_exactly_when_the_leaf_expansion_has_the_target_sign(self):
+        # The contract any parity classifier keeps: StronglyMixed for mixed
+        # generator degrees; otherwise Certified exactly when every term of
+        # the unique leaf expansion has the sign of the generators' parity,
+        # with that expansion as the certificate, and Undetermined when not.
+        tags = {}
+        for name, the_ideal in _contract_ideals():
+            pc = classify_parity(the_ideal)
+            tags[name] = pc.tag
+            parities = the_ideal.generator_parities()
+            if len(parities) == 2:
+                assert pc == (STRONGLY_MIXED, None), name
+                continue
+            target = 1 if parities == {0} else -1
+            leaves = _leaf_expansion(the_ideal)
+            uniform = all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
+            if uniform:
+                assert pc.tag == (CERTIFIED_EVEN if target == 1 else CERTIFIED_ODD), name
+                assert dict(pc.certificate) == leaves, name
+            else:
+                assert pc == (UNDETERMINED, None), name
+        assert len(tags) == 83
+        assert tags["system-12x2.json"] == tags["system-dyadic.json"] == UNDETERMINED
+        assert set(tags.values()) == {CERTIFIED_EVEN, CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED}
 
 
 class TestSingleGeneratorSign:
