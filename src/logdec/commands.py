@@ -267,10 +267,9 @@ def cmd_coinfo(args, argv) -> None:
 def cmd_census(args, argv) -> None:
     from .gates import ALWAYS_NEGATIVE, census, check_census_arguments
 
-    check_census_arguments(args.nx, args.ny, args.samples, args.seed)
-    seed = args.seed
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "big")
+    seed = int.from_bytes(os.urandom(4), "big") if args.seed is None else args.seed
+    check_census_arguments(args.nx, args.ny, args.samples, seed)
+    if args.seed is None:
         print(f"generated seed: {seed}", file=sys.stderr)
     classifications = census(args.nx, args.ny, samples=args.samples, seed=seed)
     rows = [

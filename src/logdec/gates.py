@@ -21,7 +21,6 @@ from .core import (
     OutcomeSpace,
     Partition,
     as_int,
-    as_tuple,
     first_occurrence_relabel,
     restricted_growth_strings,
 )
@@ -31,10 +30,10 @@ from .measure import _numpy
 from .parity import (
     CERTIFIED_ODD,
     STRONGLY_MIXED,
-    SURVEY_MAX_SAMPLES,
     ParityClass,
     SignSurvey,
     Witness,
+    check_survey_arguments,
     classify_parity,
     sign_survey,
     witness_distributions,
@@ -96,18 +95,23 @@ def _check_shape(nx: int, ny: int) -> None:
 def build_gate(nx: int, ny: int, table) -> GateSystem:
     """Gate system from a row-major output table of length nx * ny."""
     _check_shape(nx, ny)
-    table = as_tuple(table, "a gate table is a sequence of outputs")
-    if len(table) != nx * ny:
-        raise ValueError(f"table must list {nx * ny} outputs, got {len(table)}")
+    try:
+        blocks = first_occurrence_relabel(table)
+    except TypeError:  # not iterable, or an output that cannot be hashed
+        raise ValueError(f"a gate table is a sequence of outputs, got {table!r}") from None
+    if len(blocks) != nx * ny:
+        raise ValueError(f"table must list {nx * ny} outputs, got {len(blocks)}")
     space = OutcomeSpace(nx * ny)
     x = Partition(space, [w // ny for w in range(nx * ny)])
     y = Partition(space, [w % ny for w in range(nx * ny)])
-    z = Partition(space, first_occurrence_relabel(table))
+    z = Partition(space, blocks)
     return GateSystem(nx=nx, ny=ny, space=space, x=x, y=y, z=z)
 
 
 def named_gate(spec: str) -> GateSystem:
     """Build a gate from a shorthand like "xor:2x2" or "or" (defaults 2x2)."""
+    if not isinstance(spec, str):
+        raise ValueError(f"a gate spec is a string like 'xor:2x2', got {spec!r}")
     name, _, shape = spec.partition(":")
     name = name.strip().lower()
     nx, ny = (2, 2)
@@ -205,7 +209,6 @@ def classify_gate(
 
 def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
     """Canonical gate tables with orbit sizes, covering every output structure."""
-    _check_shape(nx, ny)
     _check_census_sides(nx, ny)
     perms = _input_permutations(nx, ny)
     seen: set[tuple[int, ...]] = set()
@@ -222,25 +225,18 @@ def canonical_classes(nx: int, ny: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _check_census_sides(nx: int, ny: int) -> None:
-    """Refuse a census side above the cap: 4x4 has Bell(16) ~ 1e10 tables."""
+    """Refuse a bad gate shape or a census side above the cap (4x4: Bell(16) ~ 1e10 tables)."""
+    _check_shape(nx, ny)
     if nx > CENSUS_MAX_SIDE or ny > CENSUS_MAX_SIDE:
         raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
 
 
-def check_census_arguments(nx: int, ny: int, samples: int, seed: int | None) -> None:
+def check_census_arguments(nx: int, ny: int, samples: int, seed: int) -> None:
     """Reject census arguments before any work: ValueError for a side,
-    sample count or seed that is not an integer or is below the minimum
-    (a seed may be None, for one still to be drawn), CapacityError above
-    the caps."""
-    if as_int(nx, _SIDE_RULE) < 1 or as_int(ny, _SIDE_RULE) < 1:
-        raise ValueError("census sides need at least one symbol")
-    if as_int(samples, "the sample count is an integer") < 1:
-        raise ValueError("surveys need at least one sample")
-    if seed is not None and as_int(seed, "the seed is an integer") < 0:
-        raise ValueError("census seeds must be nonnegative")
+    sample count or seed that is not an integer or is below the minimum,
+    CapacityError above the caps."""
     _check_census_sides(nx, ny)
-    if samples > SURVEY_MAX_SAMPLES:
-        raise CapacityError(f"census surveys are capped at {SURVEY_MAX_SAMPLES} samples")
+    check_survey_arguments(samples, seed)
 
 
 def census(

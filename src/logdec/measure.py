@@ -124,11 +124,11 @@ def _numpy():
     """numpy, imported on first use.
 
     logdec makes no BLAS call, but OpenBLAS starts its thread pool when
-    numpy loads, and a second thread costs start-up time (a process that
-    loaded numpy and exited: 0.155 s with two threads, 0.095 s with one,
-    on 2 cores).  OpenBLAS reads OPENBLAS_NUM_THREADS once, at that load,
-    so it is set to 1 for that import alone (unless the user chose a
-    value) and the environment is left as it was.
+    numpy loads, and a second thread costs CPU time, not wall time (a 2x2
+    census on 2 cores: 0.13 s of CPU with one, 0.21 s with two).  OpenBLAS
+    reads OPENBLAS_NUM_THREADS once, at that load, so it is set to 1 for
+    that import alone (unless the user chose a value) and the environment
+    is left as it was.
     """
     if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -218,14 +218,23 @@ def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
     )
 
 
-def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
-    """Sample the simplex uniformly and record the sign of the ideal's measure."""
+def check_survey_arguments(samples: int, seed: int) -> tuple[int, int]:
+    """The one rule for a survey's sample count and seed, read as integers:
+    ValueError below one sample or below seed 0, CapacityError above the cap."""
     samples = as_int(samples, "the sample count is an integer")
     seed = as_int(seed, "the seed is an integer")
     if samples < 1:
         raise ValueError("surveys need at least one sample")
+    if seed < 0:
+        raise ValueError("seeds must be nonnegative")
     if samples > SURVEY_MAX_SAMPLES:
         raise CapacityError(f"surveys are capped at {SURVEY_MAX_SAMPLES} samples")
+    return samples, seed
+
+
+def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
+    """Sample the simplex uniformly and record the sign of the ideal's measure."""
+    samples, seed = check_survey_arguments(samples, seed)
     np = _numpy()
     rng = np.random.default_rng(seed)
     weight_rows = rng.dirichlet(np.ones(ideal.space.n), size=samples)

@@ -313,27 +313,34 @@ def test_criterion_8_expression_counting():
     _report("entropy-expression counting", ok, "; ".join(details))
 
 
+def _golden_systems(*names):
+    golden = Path(__file__).resolve().parent / "golden"
+    return {name: parse_system((golden / f"system-{name}.json").read_text()) for name in names}
+
+
+def _same_imeasure(system, joint_bits) -> bool:
+    """The seven joint entropies of X, Y, Z are joint_bits and the
+    co-information is 0, so the whole I-measure is fixed."""
+    parts = list(system.variables.values())
+    joints = [
+        entropy(system.dist, functools.reduce(common_refinement, family))
+        for r in (1, 2, 3)
+        for family in itertools.combinations(parts, r)
+    ]
+    coinfo = coinformation_numeric(system.dist, parts)
+    return np.allclose(joints, joint_bits, rtol=0, atol=1e-12) and abs(coinfo) < 1e-12
+
+
 def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
     # James and Crutchfield (2017), "Multivariate dependence beyond Shannon
     # information": the dyadic and triadic systems on 8 equally likely
     # outcomes have the same seven joint entropies, hence the same
     # I-measure, yet their co-information ideals differ.
-    golden = Path(__file__).resolve().parent / "golden"
-    systems = {
-        name: parse_system((golden / f"system-{name}.json").read_text())
-        for name in ("dyadic", "triadic")
-    }
+    systems = _golden_systems("dyadic", "triadic")
     details = []
     ok = True
-    for name, system in systems.items():
-        parts = list(system.variables.values())
-        joints = [
-            entropy(system.dist, functools.reduce(common_refinement, family))
-            for r in (1, 2, 3)
-            for family in itertools.combinations(parts, r)
-        ]
-        ok = ok and np.allclose(joints, [2, 2, 2, 3, 3, 3, 3], rtol=0, atol=1e-12)
-        ok = ok and abs(coinformation_numeric(system.dist, parts)) < 1e-12
+    for system in systems.values():
+        ok = ok and _same_imeasure(system, [2, 2, 2, 3, 3, 3, 3])
     dyadic = coinformation_content(list(systems["dyadic"].variables.values()))
     ok = ok and dyadic.degree_profile() == (2,) * 16
     ok = ok and classify_parity(dyadic).tag == UNDETERMINED
@@ -347,6 +354,19 @@ def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
         ok = ok and abs(coinformation_numeric(w.dist, triadic_parts) - w.mu) < 1e-9
         details.append(f"triadic witness mu={w.mu:+.6f}")
     _report("one I-measure, two co-information ideals", ok, "; ".join(details))
+
+
+def test_criterion_9_on_four_outcomes():
+    # The smallest such pair: X = {12|34} and Y = {13|2|4} on 4 equally
+    # likely outcomes, with Z = {1|23|4} (mixed) or Z = {1|24|3} (even).
+    systems = _golden_systems("4-mixed", "4-even")
+    ok = all(_same_imeasure(system, [1, 1.5, 1.5, 2, 2, 2, 2]) for system in systems.values())
+    ideals = {name: coinformation_content(list(s.variables.values())) for name, s in systems.items()}
+    ok = ok and set(ideals["4-mixed"].generators) == {A("14"), A("24"), A("123")}
+    ok = ok and classify_parity(ideals["4-mixed"]).tag == STRONGLY_MIXED
+    ok = ok and set(ideals["4-even"].generators) == {A("14"), A("23")}
+    ok = ok and classify_parity(ideals["4-even"]).tag == UNDETERMINED
+    _report("one I-measure, two co-information ideals on 4 outcomes", ok, f"{ideals}")
 
 
 def _superset_moebius(ideal) -> list[int]:

@@ -762,6 +762,16 @@ class TestCensusCommand:
         assert "generated seed" in err
         assert isinstance(json.loads(out)["seed"], int)
 
+    def test_generated_seed_repeats_the_run(self, capsys):
+        code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")
+        assert code == 0
+        seed = err.removeprefix("generated seed: ").strip()
+        code, again, _ = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--seed", seed, "--json")
+        assert code == 0
+        first, second = json.loads(out), json.loads(again)
+        assert first["seed"] == second["seed"] == int(seed)
+        assert first["results"] == second["results"]
+
     def test_capacity(self, capsys):
         code, _, err = run(capsys, "census", "--nx", "4", "--ny", "2")
         assert code == 3
@@ -793,7 +803,7 @@ class TestCensusCommand:
         self._forbid_enumeration(monkeypatch)
         code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--seed", "-1")
         assert code == 2
-        assert err == "error: census seeds must be nonnegative\n"
+        assert err == "error: seeds must be nonnegative\n"
 
     def test_sample_cap_fails_fast(self, capsys):
         start = time.perf_counter()

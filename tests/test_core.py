@@ -486,11 +486,13 @@ class TestSequenceInputs:
             (lambda s, d, x: coinformation_content([x, 5]), _VARIABLES_RULE, None),
             (lambda s, d, x: coinformation_numeric(d, [x, 5]), _VARIABLES_RULE, None),
             (lambda s, d, x: coinformation_content([]), _VARIABLES_RULE, ()),
+            (lambda s, d, x: build_gate(2, 2, [[1], [2], [3], [4]]), "a gate table is a sequence of outputs",
+             [[1], [2], [3], [4]]),
         ],
         ids=[
             "labels", "weights", "weight-items", "block_of", "from_blocks", "from_blocks-block",
             "ideal", "gate-table", "mu_set", "coinformation_numeric", "content-item",
-            "numeric-item", "no-variables",
+            "numeric-item", "no-variables", "gate-table-items",
         ],
     )
     def test_a_non_sequence_is_a_value_error(self, call, rule, given):

@@ -27,6 +27,7 @@ from logdec.gates import (
     CANONICAL_MAX_MAPS,
     MIXED_SIGN,
     ZERO_COINFORMATION,
+    check_census_arguments,
     expected_class_total,
 )
 from logdec.core import restricted_growth_strings
@@ -101,6 +102,11 @@ class TestBuildGate:
     def test_unknown_gate_name(self):
         with pytest.raises(ValueError):
             named_gate("majority:2x2")
+
+    @pytest.mark.parametrize("spec", [5, None, b"xor"])
+    def test_a_spec_that_is_not_a_string_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match=re.escape(f"a gate spec is a string like 'xor:2x2', got {spec!r}")):
+            named_gate(spec)
 
 
 class TestCanonicalize:
@@ -337,6 +343,24 @@ class TestCensus:
         monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
         with pytest.raises(ValueError, match="seeds must be nonnegative"):
             census(2, 2, seed=-1)
+
+    @pytest.mark.parametrize(
+        "call, rule",
+        [
+            (lambda: census(2, 2, seed=None), "the seed is an integer, got None"),
+            (lambda: check_census_arguments(2, 2, 10, None), "the seed is an integer, got None"),
+            (lambda: classify_gate(named_gate("or"), seed=-1), "seeds must be nonnegative"),
+        ],
+        ids=["census", "check_census_arguments", "classify_gate"],
+    )
+    def test_every_census_needs_a_seed_of_zero_or_more(self, monkeypatch, call, rule):
+        # a census on OS entropy would record no seed to repeat it from
+        def enumerate_classes(nx, ny):
+            raise AssertionError("classes were enumerated before validation")
+
+        monkeypatch.setattr("logdec.gates.canonical_classes", enumerate_classes)
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            call()
 
     @pytest.mark.parametrize(
         "samples, seed, name",

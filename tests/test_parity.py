@@ -510,6 +510,12 @@ class TestSurveys:
         with pytest.raises(ValueError, match=f"the {name} is an integer, got"):
             sign_survey(OR_IDEAL, samples, seed)
 
+    def test_a_negative_seed_is_refused_by_the_survey_rule(self, monkeypatch):
+        # not numpy's "expected non-negative integer" from default_rng
+        monkeypatch.setattr("logdec.parity._numpy", None)
+        with pytest.raises(ValueError, match="^seeds must be nonnegative$"):
+            sign_survey(OR_IDEAL, 10, -1)
+
     def test_numpy_integers_read_as_ints(self):
         sv = sign_survey(OR_IDEAL, np.int64(20), np.int64(1))
         assert sv == sign_survey(OR_IDEAL, 20, 1)
