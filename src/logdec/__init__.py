@@ -24,14 +24,16 @@ _EXPORTS = {
         "enumerate_complex",
     ),
     "ideals": ("Ideal", "minimal_antichain"),
-    "measure": ("entropy", "merge_loss", "mu_atom", "mu_ideal", "mu_set", "mu_table"),
+    "measure": (
+        "entropy", "exact_sign", "merge_loss", "mu_atom", "mu_ideal", "mu_set", "mu_table",
+    ),
     "contents": (
         "coinformation_content", "coinformation_numeric", "content", "content_bruteforce",
         "count_expressions", "ideal_to_variables",
     ),
     "parity": (
         "ParityClass", "SignSurvey", "Witness", "classify_parity", "sign_survey",
-        "single_generator_sign", "witness_distributions",
+        "witness_distributions",
     ),
     "gates": (
         "GateClassification", "GateSystem", "build_gate", "canonical_classes",

@@ -13,8 +13,8 @@ Evaluation conventions: base-2 logarithms, double precision, subsets in
 ascending bit-pattern order.  Atoms with a zero-weight member measure
 exactly 0 (the continuous extension).  The one comparison tolerance is
 EQ_TOL = 1e-9: a measure within EQ_TOL of 0 is taken to have no sign
-that double precision resolves, so sign surveys count it as zero and
-single_generator_sign refuses to name one.
+that double precision resolves, so sign surveys count it as zero.  Under
+integer weights, exact_sign decides the sign with no tolerance at all.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
     CapacityError,
     Distribution,
     Partition,
+    as_int,
     as_tuple,
     atom_bits,
     first_occurrence_relabel,
@@ -243,3 +244,30 @@ def mu_ideal(dist: Distribution, ideal: Ideal) -> float:
         if m > 0.0:
             terms.append(c * (m * math.log2(m)))
     return math.fsum(terms)
+
+
+def exact_sign(ideal: Ideal, weights: Iterable[int]) -> int:
+    """Sign of the ideal's measure under nonnegative integer weights, one
+    per outcome: -1, 0 or 1, with no rounding.
+
+    With M_U the weight of U, D the total and C = sum c_I(U) M_U,
+    D * mu(I) = sum c_I(U) M_U log2 M_U - C log2 D, so the sign compares
+    the products of the powers M_U ** (c_I(U) M_U) and D ** -C of each
+    exponent sign.  Their estimated bits, sum |exponent| * bit_length(base),
+    are charged first, against ideals.EXPANSION_WORK_CAP.
+    """
+    read = functools.partial(as_int, rule="exact weights are integers")
+    weights = as_tuple(weights, "exact weights are a sequence of integers", read)
+    if len(weights) != ideal.space.n:
+        raise ValueError("exact weights need one weight per outcome")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    powers = []
+    for u, c in _ideal_expansion(ideal):
+        m = sum(w for i, w in enumerate(weights) if u >> i & 1)
+        powers.append((m, c * m))
+    powers.append((sum(weights), -sum(e for _, e in powers)))
+    step_meter("the exact sign")(sum(abs(e) * m.bit_length() for m, e in powers))
+    above = math.prod(m**e for m, e in powers if e > 0)
+    below = math.prod(m**-e for m, e in powers if e < 0)
+    return (above > below) - (above < below)

@@ -5,8 +5,9 @@ positive weights.  Larger ideals are certified by searching
 inclusion-exclusion expansions over generator orderings, with steps
 spent from an ideals.step_meter, until every signed leaf term has the
 same sign; ideals whose minimal generators mix even and odd degrees
-provably take both signs, and witness distributions for either sign are
-built by concentrating mass on one generator.
+provably take both signs, and a witness distribution for either sign
+puts a growing integer weight on one generator's members until
+measure.exact_sign gives that sign.
 Certification is sound but not complete: Undetermined is a first-class
 outcome and surveys still characterise such ideals empirically.  Every
 peel order yields the same leaf expansion, so Undetermined means that its
@@ -26,9 +27,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import CapacityError, Distribution, as_int, atom_bits, degree
+from .core import CapacityError, Distribution, as_int, degree
 from .ideals import Ideal, minimal_antichain, step_meter
-from .measure import EQ_TOL, _numpy, mu_ideal, mu_ideal_batch
+from .measure import EQ_TOL, _numpy, exact_sign, mu_ideal, mu_ideal_batch
 
 CERTIFIED_EVEN = "CertifiedEven"
 CERTIFIED_ODD = "CertifiedOdd"
@@ -40,8 +41,6 @@ DEFAULT_BUDGET = 10_000
 # cap takes about 70 s and peaks at 65 MB of RSS (52 MB at 1000 samples);
 # 10**9 samples would need tens of gigabytes.
 SURVEY_MAX_SAMPLES = 100_000
-WITNESS_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-WITNESS_MARGIN = 10 * EQ_TOL
 
 
 class ParityClass(NamedTuple):
@@ -76,7 +75,9 @@ class SignSurvey(NamedTuple):
 
 
 class Witness(NamedTuple):
-    """A distribution and the ideal's measure under it."""
+    """A distribution and the ideal's measure under it.  Its weights are
+    integers over their total, recovered as p / min(p), under which
+    measure.exact_sign gives the witness's side."""
 
     dist: Distribution
     mu: float
@@ -155,42 +156,11 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
     return ParityClass(UNDETERMINED)
 
 
-def single_generator_sign(dist: Distribution, generator: int) -> int:
-    """Sign of the measure of a one-generator ideal; always (-1)**degree.
-
-    Raises ValueError when the generator is not an atom of the space
-    (as Ideal does), when a member of the generator has zero weight, or
-    when the computed measure is within EQ_TOL of 0: with skewed weights
-    the true measure can be smaller than the cancellation error of the
-    alternating sum, so double precision cannot resolve its sign.  Raises
-    AssertionError when the measure lies beyond EQ_TOL on the wrong side,
-    which would falsify the sign law.
-    """
-    ideal = Ideal(dist.space, [generator])
-    (generator,) = ideal.generators
-    if any(dist.weights[i] == 0.0 for i in atom_bits(generator)):
-        raise ValueError("sign is undefined when a member has zero weight")
-    value = mu_ideal(dist, ideal)
-    if abs(value) <= EQ_TOL:
-        raise ValueError(
-            f"sign cannot be resolved in double precision: |mu| = {abs(value):.3g} "
-            f"is within the tolerance {EQ_TOL:g}"
-        )
-    expected = -1 if degree(generator) & 1 else 1
-    if value * expected < -EQ_TOL:
-        raise AssertionError(
-            f"single-generator sign rule violated: mu = {value!r} for degree "
-            f"{degree(generator)}"
-        )
-    return expected
-
-
 def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]:
     """Witnesses driving the ideal's measure positive and negative.
 
-    Mass sits uniformly on one generator with epsilon elsewhere; the
-    schedule shrinks epsilon until the sign is stable with margin.  A
-    pure-parity ideal yields only its one achievable side.
+    Each side takes its first generator of that parity, in degree order.
+    A pure-parity ideal yields only its one achievable side.
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has measure 0 everywhere")
@@ -202,20 +172,18 @@ def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]
 
 
 def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
-    space = ideal.space
-    members = atom_bits(generator)
-    for eps in WITNESS_EPSILONS:
-        weights = [eps] * space.n
-        for i in members:
-            weights[i] = 1.0 / len(members)
-        total = sum(weights)
-        dist = Distribution(space, tuple(w / total for w in weights))
-        value = mu_ideal(dist, ideal)
-        if sign * value > WITNESS_MARGIN:
-            return Witness(dist, value)
-    raise RuntimeError(
-        "witness search exhausted its epsilon schedule without a stable sign"
-    )
+    """Weight k = 2, 4, 8, ... on the generator's members and 1 elsewhere,
+    up to the first k of the exact `sign`.  As k grows the measure tends to
+    the generator's own atom measure, of sign (-1)**degree, so only the
+    exact sign's CapacityError can end the search otherwise."""
+    k = 2
+    while True:
+        weights = [k if generator >> i & 1 else 1 for i in range(ideal.space.n)]
+        if exact_sign(ideal, weights) == sign:
+            total = sum(weights)
+            dist = Distribution(ideal.space, tuple(w / total for w in weights))
+            return Witness(dist, mu_ideal(dist, ideal))
+        k *= 2
 
 
 def check_survey_arguments(samples: int, seed: int) -> tuple[int, int]:

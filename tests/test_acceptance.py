@@ -14,8 +14,10 @@ import numpy as np
 
 from logdec import (
     Distribution,
+    Ideal,
     OutcomeSpace,
     all_partitions,
+    build_gate,
     census,
     classify_parity,
     coinformation_content,
@@ -25,15 +27,15 @@ from logdec import (
     count_expressions,
     entropy,
     enumerate_complex,
+    exact_sign,
     ideal_to_variables,
     mu_atom,
     mu_ideal,
     named_gate,
-    single_generator_sign,
     witness_distributions,
 )
 from logdec.commands import parse_system
-from logdec.core import common_refinement, degree
+from logdec.core import common_refinement
 from logdec.gates import ALWAYS_NEGATIVE, ZERO_COINFORMATION
 from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
 
@@ -164,7 +166,8 @@ def test_criterion_4_sign_laws_and_limits():
     rng = np.random.default_rng(SEED + 2)
     violations = 0
 
-    # sign of single-generator ideals and of bare atoms: (-1)**degree
+    # sign of single-generator ideals, exactly at integer weights, and of
+    # bare atoms: (-1)**degree
     for _ in range(10_000):
         n = int(rng.integers(2, 9))
         sp = OutcomeSpace(n)
@@ -172,10 +175,7 @@ def test_criterion_4_sign_laws_and_limits():
         d = int(rng.integers(2, n + 1))
         members = rng.choice(n, size=d, replace=False)
         g = int(sum(1 << int(i) for i in members))
-        try:
-            if single_generator_sign(dist, g) != (-1) ** d:
-                violations += 1
-        except AssertionError:
+        if exact_sign(Ideal(sp, [g]), rng.integers(1, 21, size=n)) != (-1) ** d:
             violations += 1
         if (-1.0) ** d * mu_atom(dist, g) <= 0.0:
             violations += 1
@@ -256,9 +256,12 @@ def test_criterion_5_gate_census_uniqueness():
 
 
 def test_criterion_6_mixed_gate_witnesses():
+    # Every witness's integer weights, recovered as p / min(p), give the
+    # ideal's measure the witness's sign exactly, and so does the float
+    # measure it carries, which the entropy route matches.
     failures = 0
     mixed_total = 0
-    for nx, ny in [(2, 2), (3, 2)]:
+    for nx, ny in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         for c in _census(nx, ny):
             if c.verdict != "MixedSign":
                 continue
@@ -267,10 +270,13 @@ def test_criterion_6_mixed_gate_witnesses():
             if pos is None or neg is None:
                 failures += 1
                 continue
-            if not mu_ideal(pos.dist, c.ideal) > 1e-8:
-                failures += 1
-            if not mu_ideal(neg.dist, c.ideal) < -1e-8:
-                failures += 1
+            gate = build_gate(nx, ny, c.table)
+            for side, w in ((1, pos), (-1, neg)):
+                weights = [round(p / min(w.dist.weights)) for p in w.dist.weights]
+                if exact_sign(c.ideal, weights) != side or not side * w.mu > 0:
+                    failures += 1
+                if abs(coinformation_numeric(w.dist, [gate.x, gate.y, gate.z]) - w.mu) > 1e-9:
+                    failures += 1
     _report(
         "both-sign witnesses for every mixed census gate",
         failures == 0 and mixed_total > 0,
@@ -349,7 +355,7 @@ def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
     ok = ok and triadic.degree_profile() == (2,) * 16 + (3,) * 8
     ok = ok and classify_parity(triadic).tag == STRONGLY_MIXED
     details.append(f"dyadic {dyadic.degree_profile().count(2)} pairs")
-    for w, expected in zip(witness_distributions(triadic), (0.888384, -0.309168)):
+    for w, expected in zip(witness_distributions(triadic), (0.068996, -0.019174)):
         ok = ok and abs(w.mu - expected) < 1e-6
         ok = ok and abs(coinformation_numeric(w.dist, triadic_parts) - w.mu) < 1e-9
         details.append(f"triadic witness mu={w.mu:+.6f}")
@@ -405,35 +411,32 @@ def _exact_sign(c: list[int], masses: list[int]) -> tuple[int, int]:
 
 
 def test_criterion_9_triadic_witness_signs_are_exact():
-    # The triadic witnesses of criterion 9, with integer weights: 50 on the
-    # cells of a pair generator, 33 on those of a triple (about the
-    # witnesses' epsilon 1e-2) and 1 elsewhere.  The sign is decided by
-    # comparing integers, with coefficients from a superset-Moebius pass
-    # over the membership table, independent of the measure's expansion;
-    # mu_ideal and a 60-digit evaluation of the same sum agree with it.
+    # The triadic witnesses of criterion 9 at their integer weights,
+    # recovered as p / min(p): 2 on the cells of a pair generator or of a
+    # triple and 1 elsewhere.  The sign is decided by comparing integers,
+    # with coefficients from a superset-Moebius pass over the membership
+    # table, independent of the measure's expansion; exact_sign, mu_ideal
+    # and a 60-digit evaluation of the same sum agree with it.
     golden = Path(__file__).resolve().parent / "golden"
     system = parse_system((golden / "system-triadic.json").read_text())
     ideal = coinformation_content(list(system.variables.values()))
     space = ideal.space
     coeffs = _superset_moebius(ideal)
-    gens = ideal.sorted_generators()
-    cases = (
-        (next(g for g in gens if degree(g) == 2), 50, 1, 0.888384),
-        (next(g for g in gens if degree(g) == 3), 33, -1, -0.308418),
-    )
     ok = True
     details = []
-    for generator, heavy, expected_sign, expected_mu in cases:
-        k = [heavy if generator >> i & 1 else 1 for i in range(space.n)]
-        masses = [sum(w for i, w in enumerate(k) if u >> i & 1) for u in range(1 << space.n)]
+    witnesses = witness_distributions(ideal)
+    for w, expected_sign, expected_mu in zip(witnesses, (1, -1), (0.068996, -0.019174)):
+        k = [round(p / min(w.dist.weights)) for p in w.dist.weights]
+        masses = [sum(x for i, x in enumerate(k) if u >> i & 1) for u in range(1 << space.n)]
         sign, bits = _exact_sign(coeffs, masses)
         total = masses[-1]
-        value = mu_ideal(Distribution(space, [w / total for w in k]), ideal)
+        value = mu_ideal(Distribution(space, [x / total for x in k]), ideal)
         with mpmath.workdps(60):
             t = sum(cu * m for cu, m in zip(coeffs, masses))
             scaled = mpmath.fsum(cu * m * mpmath.log(m, 2) for cu, m in zip(coeffs, masses) if m)
             exact = (scaled - t * mpmath.log(total, 2)) / total
-        ok = ok and sign == expected_sign and abs(value - expected_mu) < 1e-6
+        ok = ok and sign == expected_sign == exact_sign(ideal, k)
+        ok = ok and value == w.mu and abs(value - expected_mu) < 1e-6
         ok = ok and abs(mpmath.mpf(value) - exact) < 1e-12
-        details.append(f"{space.format_atom(generator)}: sign {sign:+d} ({bits} bits)")
+        details.append(f"weights {k}: sign {sign:+d} ({bits} bits)")
     _report("exact signs of the triadic witnesses", ok, "; ".join(details))

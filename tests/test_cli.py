@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -693,13 +694,6 @@ class TestCoinfo:
 
 
 class TestInternalErrors:
-    def test_exhausted_witness_schedule_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr("logdec.parity.WITNESS_EPSILONS", ())
-        code, out, err = run(capsys, "witness", "--gate", "or:2x2")
-        assert code == 5 and out == ""
-        assert err.startswith("internal error: witness search exhausted")
-        assert err.count("\n") == 1 and "Traceback" not in err
-
     def test_violated_degree_bound_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr("logdec.contents.degree", lambda mask: 99)
         code, out, err = run(capsys, "coinfo", "--gate", "or:2x2", "--structure")
@@ -840,6 +834,19 @@ class TestWitnessCommand:
         code, _, err = run(capsys, "witness", "--gate", "copyx:2x2")
         assert code == 4
         assert "pure even" in err
+
+    def test_exact_sign_past_its_cap_exits_3(self, capsys, monkeypatch):
+        # the OR ideal's expansion takes 21 steps and its first exact
+        # sign 48 bits: a cap of 30 stops the witness search, not the
+        # expansion
+        from logdec.ideals import step_meter
+        from logdec.measure import _ideal_expansion
+
+        _ideal_expansion.cache_clear()
+        monkeypatch.setattr("logdec.measure.step_meter", functools.partial(step_meter, cap=30))
+        code, out, err = run(capsys, "witness", "--gate", "or:2x2")
+        assert code == 3 and out == ""
+        assert err == "capacity error: the exact sign would exceed its cap of 30 steps\n"
 
     def test_table_shortcut(self, capsys):
         code, out, _ = run(

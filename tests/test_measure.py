@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import mpmath
@@ -13,11 +14,14 @@ from logdec import (
     Ideal,
     OutcomeSpace,
     Partition,
+    build_gate,
+    canonical_classes,
     coinformation_content,
     common_refinement,
     content,
     entropy,
     enumerate_complex,
+    exact_sign,
     merge_loss,
     mu_atom,
     mu_ideal,
@@ -27,7 +31,8 @@ from logdec import (
 
 from logdec.measure import _ideal_expansion, mu_ideal_batch
 
-from conftest import A, random_atom, random_distribution, random_partition
+from conftest import A, random_atom, random_distribution, random_ideal, random_partition
+from test_acceptance import _exact_sign, _superset_moebius
 
 LG3 = math.log2(3.0)
 
@@ -387,6 +392,74 @@ class TestExpansion:
                 if s & ~g == 0:
                     expected[s | rest] = (-1) ** (g & ~s).bit_count()
             assert dict(_ideal_expansion(Ideal(sp, [g]))) == expected
+
+
+def _integer_masses(weights, n: int) -> list[int]:
+    """The weight of every mask, indexed by bit pattern."""
+    return [sum(w for i, w in enumerate(weights) if u >> i & 1) for u in range(1 << n)]
+
+
+def _census_ideals(nx: int, ny: int):
+    for table, _ in canonical_classes(nx, ny):
+        gate = build_gate(nx, ny, table)
+        ideal = coinformation_content([gate.x, gate.y, gate.z])
+        if not ideal.is_empty:
+            yield ideal
+
+
+class TestExactSign:
+    def test_agrees_with_the_membership_table_oracle(self, rng):
+        # the oracle's coefficients come from the membership table, not
+        # from the measure's expansion; zero weights included
+        for _ in range(300):
+            sp = OutcomeSpace(int(rng.integers(2, 8)))
+            ideal = random_ideal(rng, sp, max_generators=4)
+            weights = [int(w) for w in rng.integers(0, 21, size=sp.n)]
+            expected, _ = _exact_sign(_superset_moebius(ideal), _integer_masses(weights, sp.n))
+            assert exact_sign(ideal, weights) == expected, (ideal, weights)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 3)])
+    def test_agrees_with_60_digits_on_census_ideals(self, nx, ny):
+        # D * mu = sum c_U M_U log2 M_U - C log2 D at 60 digits, on every
+        # third nonempty census ideal
+        draw = random.Random(0)
+        for ideal in list(_census_ideals(nx, ny))[::3]:
+            n = ideal.space.n
+            weights = [draw.randint(1, 20) for _ in range(n)]
+            masses = _integer_masses(weights, n)
+            coeffs = _superset_moebius(ideal)
+            with mpmath.workdps(60):
+                scaled = mpmath.fsum(c * m * mpmath.log(m, 2) for c, m in zip(coeffs, masses) if m)
+                scaled -= sum(c * m for c, m in zip(coeffs, masses)) * mpmath.log(masses[-1], 2)
+            expected = 0 if abs(scaled) < 1e-40 else int(mpmath.sign(scaled))
+            assert exact_sign(ideal, weights) == expected, (ideal, weights)
+
+    def test_exact_zeros(self):
+        sp = OutcomeSpace(4)
+        assert exact_sign(Ideal(sp, []), [1, 2, 3, 4]) == 0
+        assert exact_sign(Ideal(sp, [A("12")]), [0, 2, 3, 4]) == 0
+        assert exact_sign(Ideal(sp, [A("14"), A("123")]), [0, 0, 0, 0]) == 0
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1, 2, 3, -1], "weights must be nonnegative"),
+            ([1, 2, 3, 1.0], "exact weights are integers, got 1.0"),
+            ([1, 2, 3], "one weight per outcome"),
+            (5, "exact weights are a sequence of integers, got 5"),
+        ],
+    )
+    def test_bad_weights_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            exact_sign(Ideal(OutcomeSpace(4), [A("12")]), weights)
+
+    def test_weights_past_the_meter_raise_capacity_error_at_once(self):
+        # about 10**9 bits at weights near 10**6 on 20 outcomes
+        ideal = Ideal(OutcomeSpace(20), [0b11, 0b11100])
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="the exact sign would exceed its cap"):
+            exact_sign(ideal, [10**6 + i for i in range(20)])
+        assert time.perf_counter() - start < 1.0
 
 
 def _table_sweep_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:

@@ -20,11 +20,11 @@ from logdec import (
     classify_parity,
     coinformation_content,
     coinformation_numeric,
+    exact_sign,
     minimal_antichain,
     mu_ideal,
     named_gate,
     sign_survey,
-    single_generator_sign,
     witness_distributions,
 )
 from logdec.parity import (
@@ -120,7 +120,7 @@ class TestClassification:
         with pytest.raises(ValueError, match="degree >= 2"):
             witness_distributions(ideal(3, "1", "23"))
         with pytest.raises(ValueError, match="degree >= 2"):
-            single_generator_sign(Distribution.uniform(OutcomeSpace(3)), A("1"))
+            exact_sign(ideal(3, "1"), [1, 1, 1])
 
     def test_budget_exhaustion_is_undetermined(self):
         big = ideal(6, "12", "34", "56", "13", "25", "46")
@@ -285,13 +285,10 @@ class TestParityContract:
 class TestSingleGeneratorSign:
     def test_signs_follow_degree(self, rng):
         for _ in range(200):
-            n = int(rng.integers(2, 7))
-            sp = OutcomeSpace(n)
-            dist = random_distribution(rng, sp, floor=0.01)
-            d = int(rng.integers(2, n + 1))
-            members = rng.choice(n, size=d, replace=False)
-            g = int(sum(1 << int(i) for i in members))
-            assert single_generator_sign(dist, g) == (-1) ** d
+            sp = OutcomeSpace(int(rng.integers(2, 7)))
+            g = random_atom(rng, sp)
+            weights = rng.integers(1, 21, size=sp.n)
+            assert exact_sign(Ideal(sp, [g]), weights) == (-1) ** g.bit_count()
 
     def test_every_generator_on_small_spaces(self, rng):
         for n in range(2, 6):
@@ -300,8 +297,8 @@ class TestSingleGeneratorSign:
                 if g.bit_count() < 2:
                     continue
                 for _ in range(20):
-                    dist = random_distribution(rng, sp, floor=0.01)
-                    assert single_generator_sign(dist, g) == (-1) ** g.bit_count()
+                    weights = rng.integers(1, 21, size=n)
+                    assert exact_sign(Ideal(sp, [g]), weights) == (-1) ** g.bit_count()
 
     def test_top_atom_ideal_is_the_atom(self):
         sp = OutcomeSpace(4)
@@ -310,24 +307,20 @@ class TestSingleGeneratorSign:
 
         top = Ideal(sp, [sp.full_mask])
         assert mu_ideal(dist, top) == pytest.approx(mu_atom(dist, sp.full_mask))
-        assert single_generator_sign(dist, sp.full_mask) == 1
-
-    def test_zero_weight_member_rejected(self):
-        sp = OutcomeSpace(3)
-        dist = Distribution(sp, (0.0, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            single_generator_sign(dist, A("12"))
+        assert exact_sign(top, (1, 2, 3, 4)) == 1
 
     def test_generator_outside_the_space_rejected(self):
-        d = Distribution.uniform(OutcomeSpace(3))
         with pytest.raises(ValueError, match="outside the outcome space"):
-            single_generator_sign(d, 0b11000)
+            exact_sign(Ideal(OutcomeSpace(3), [0b11000]), [1, 1, 1])
 
-    def test_sign_below_float_resolution_is_refused(self):
-        # true mu(<12>) is about w1 * w2 / ln 2 = 1.4e-12, under EQ_TOL
-        dist = Distribution(OutcomeSpace(4), (1e-6, 1e-6, 0.5, 0.5 - 2e-6))
-        with pytest.raises(ValueError, match="cannot be resolved"):
-            single_generator_sign(dist, A("12"))
+    def test_sign_below_float_resolution_is_decided(self):
+        # mu(<12>) is about p1 * p2 / ln 2 = 9e-10 at p1 = p2 = 1 / 40002:
+        # within EQ_TOL in double precision, and positive exactly
+        the_ideal = ideal(3, "12")
+        weights = (1, 1, 40000)
+        dist = Distribution(the_ideal.space, [w / sum(weights) for w in weights])
+        assert abs(mu_ideal(dist, the_ideal)) <= EQ_TOL
+        assert exact_sign(the_ideal, weights) == 1
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -337,19 +330,17 @@ class TestSingleGeneratorSign:
     @settings(max_examples=200, deadline=None)
     def test_skewed_weights_get_the_right_sign_or_a_refusal(self, seed, n, alpha):
         # Dirichlet(alpha) with small alpha piles the mass on a few outcomes,
-        # so many generators have a true measure below the float error
+        # so many generators have a true measure below the float error;
+        # beyond twice EQ_TOL the float measure has the sign law's sign
         rng = np.random.default_rng(seed)
         sp = OutcomeSpace(n)
         dist = Distribution(sp, tuple(rng.dirichlet(np.full(n, alpha))))
         g = random_atom(rng, sp)
         exact = _single_generator_mu_60_digits(dist.weights, g)
-        try:
-            sign = single_generator_sign(dist, g)
-        except ValueError:
-            assert abs(exact) <= 2 * EQ_TOL
-        else:
-            assert sign == (-1) ** g.bit_count()
+        if abs(exact) > 2 * EQ_TOL:
+            sign = (-1) ** g.bit_count()
             assert mpmath.sign(exact) == sign
+            assert np.sign(mu_ideal(dist, Ideal(sp, [g]))) == sign
 
 
 class TestWitnesses:
@@ -370,11 +361,11 @@ class TestWitnesses:
         assert mu_ideal(neg.dist, XOR_IDEAL) < -1e-8
 
     def test_or_gate_witnesses_match_the_biased_regimes(self):
-        # mass on the diagonal pushes the co-information positive,
-        # mass on the low triple pushes it negative
+        # mass on the diagonal pushes the co-information positive (from
+        # weight 4 on it), mass on the low triple pushes it negative
         pos, neg = witness_distributions(OR_IDEAL)
-        assert pos.dist.weights[0] == pos.dist.weights[3] > 0.4
-        assert neg.dist.weights[3] < 0.05
+        assert pos.dist.weights == (0.4, 0.1, 0.1, 0.4)
+        assert neg.dist.weights == (2 / 7, 2 / 7, 2 / 7, 1 / 7)
 
     def test_random_mixed_ideals_always_get_both_sides(self, rng):
         from conftest import random_atom
@@ -452,6 +443,8 @@ class TestWitnessSchedule:
         pos, neg = witness_distributions(the_ideal)
         for side, w in ((1, pos), (-1, neg)):
             exact = _ideal_mu_60_digits(w.dist.weights, the_ideal)
+            weights = [round(p / min(w.dist.weights)) for p in w.dist.weights]
+            assert exact_sign(the_ideal, weights) == side
             assert side * w.mu > 0 and mpmath.sign(exact) == side
             assert abs(mpmath.mpf(w.mu) - exact) <= 1e-12
 
