@@ -39,7 +39,8 @@ from . import __version__
 
 # Each command's options and the type of their value: str and int take
 # one value, list one or more (`-v` is `--variables`), bool none (a
-# flag).  A flag defaults to False, --samples to 1000, the rest to None.
+# flag).  A flag defaults to False, --samples and --seed to `census`'s own
+# defaults (1000 and 0), the rest to None.
 _SYSTEM = {"file": str, "gate": str, "table": str, "nx": int, "ny": int}
 COMMANDS = {
     "decompose": {**_SYSTEM, "variable": str, "json": bool},
@@ -47,7 +48,7 @@ COMMANDS = {
     "census": {"nx": int, "ny": int, "samples": int, "seed": int, "json": bool},
     "witness": {**_SYSTEM, "variables": list, "json": bool},
 }
-_DEFAULTS = {"samples": 1000}
+_DEFAULTS = {"samples": 1000, "seed": 0}
 _HELP = {"-h": "help", "--help": "help"}
 _TOP = {**_HELP, "--version": "version"}
 
@@ -77,7 +78,7 @@ coinfo:
 census:
   --nx N, --ny N           gate rows and columns (required)
   --samples N              sign-survey samples per class (default 1000)
-  --seed N                 survey seed (default: generated, on stderr)
+  --seed N                 survey seed (default 0)
 witness:
   -v, --variables NAME...  variable names (default: all)
 every command:

@@ -231,14 +231,6 @@ def _check_census_sides(nx: int, ny: int) -> None:
         raise CapacityError(f"census sides are capped at {CENSUS_MAX_SIDE}")
 
 
-def check_census_arguments(nx: int, ny: int, samples: int, seed: int) -> None:
-    """Reject census arguments before any work: ValueError for a side,
-    sample count or seed that is not an integer or is below the minimum,
-    CapacityError above the caps."""
-    _check_census_sides(nx, ny)
-    check_survey_arguments(samples, seed)
-
-
 def census(
     nx: int,
     ny: int,
@@ -248,9 +240,11 @@ def census(
     """Classify every gate of the given shape up to canonical equivalence.
 
     Each class gets its own deterministic seed derived from the census
-    seed and its position in the canonical order.
+    seed and its position in the canonical order.  The sides, then the
+    sample count and seed, are checked before any work.
     """
-    check_census_arguments(nx, ny, samples, seed)
+    _check_census_sides(nx, ny)
+    check_survey_arguments(samples, seed)
     np = _numpy()
     results = []
     for idx, (table, orbit) in enumerate(canonical_classes(nx, ny)):

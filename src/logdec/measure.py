@@ -35,7 +35,7 @@ from .core import (
     first_occurrence_relabel,
     same_space,
 )
-from .ideals import Ideal, step_meter
+from .ideals import EXPANSION_WORK_CAP, Ideal, step_meter
 
 if TYPE_CHECKING:
     import numpy as np
@@ -254,7 +254,7 @@ def exact_sign(ideal: Ideal, weights: Iterable[int]) -> int:
     D * mu(I) = sum c_I(U) M_U log2 M_U - C log2 D, so the sign compares
     the products of the powers M_U ** (c_I(U) M_U) and D ** -C of each
     exponent sign.  Their estimated bits, sum |exponent| * bit_length(base),
-    are charged first, against ideals.EXPANSION_WORK_CAP.
+    are checked first: past ideals.EXPANSION_WORK_CAP bits, CapacityError.
     """
     read = functools.partial(as_int, rule="exact weights are integers")
     weights = as_tuple(weights, "exact weights are a sequence of integers", read)
@@ -267,7 +267,8 @@ def exact_sign(ideal: Ideal, weights: Iterable[int]) -> int:
         m = sum(w for i, w in enumerate(weights) if u >> i & 1)
         powers.append((m, c * m))
     powers.append((sum(weights), -sum(e for _, e in powers)))
-    step_meter("the exact sign")(sum(abs(e) * m.bit_length() for m, e in powers))
+    if sum(abs(e) * m.bit_length() for m, e in powers) > EXPANSION_WORK_CAP:
+        raise CapacityError(f"the exact sign would exceed its cap of {EXPANSION_WORK_CAP} bits")
     above = math.prod(m**e for m, e in powers if e > 0)
     below = math.prod(m**-e for m, e in powers if e < 0)
     return (above > below) - (above < below)

@@ -1,7 +1,7 @@
 import argparse
 import contextlib
-import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -55,7 +55,8 @@ def cli_process(*argv, **kwargs) -> subprocess.Popen:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser the command line had before it parsed from its
-    own option table: the reference for every argument list below."""
+    own option table, with `census`'s seed 0 as the `--seed` default: the
+    reference for every argument list below."""
     def add_system_arguments(parser):
         parser.add_argument("--file", help="JSON system description")
         parser.add_argument("--gate", help='named gate, like "xor:2x2" or "or"')
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, required=True)
     p.add_argument("--ny", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("witness", help="distributions giving both co-information signs")
@@ -750,21 +751,31 @@ class TestCensusCommand:
         expected = (GOLDEN / "census-3x3.sha256").read_text().split()[0]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
-    def test_generated_seed_is_reported(self, capsys):
-        code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")
+    def test_a_census_without_a_seed_is_the_seed_0_census(self, capsys):
+        argv = ("census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second and first[0] == 0 and first[2] == ""
+        code, seeded, _ = run(capsys, *argv, "--seed", "0")
         assert code == 0
-        assert "generated seed" in err
-        assert isinstance(json.loads(out)["seed"], int)
+        seedless, pinned = json.loads(first[1]), json.loads(seeded)
+        assert seedless["seed"] == pinned["seed"] == 0
+        assert seedless["results"] == pinned["results"]
 
-    def test_generated_seed_repeats_the_run(self, capsys):
-        code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--json")
+    def test_the_defaults_are_the_librarys(self, capsys):
+        defaults = inspect.signature(logdec.census).parameters
+        for name in ("samples", "seed"):
+            assert logdec.cli._DEFAULTS[name] == defaults[name].default
+        code, out, _ = run(capsys, "census", "--nx", "2", "--ny", "3", "--json")
         assert code == 0
-        seed = err.removeprefix("generated seed: ").strip()
-        code, again, _ = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", "50", "--seed", seed, "--json")
-        assert code == 0
-        first, second = json.loads(out), json.loads(again)
-        assert first["seed"] == second["seed"] == int(seed)
-        assert first["results"] == second["results"]
+        rows = json.loads(out)["results"]["classes"]
+        library = logdec.census(2, 3)
+        assert len(rows) == len(library)
+        for row, c in zip(rows, library):
+            assert (row["table"], row["verdict"], row["parity"]) == (
+                list(c.table), c.verdict, c.parity.tag if c.parity else None
+            )
+            counts = [row["survey"][k] for k in ("samples", "positive", "negative", "zero")]
+            assert counts == [c.survey.samples, c.survey.positive, c.survey.negative, c.survey.zero]
 
     def test_capacity(self, capsys):
         code, _, err = run(capsys, "census", "--nx", "4", "--ny", "2")
@@ -783,7 +794,6 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--nx", sides[0], "--ny", sides[1])
         assert code == 2
         assert "at least one symbol" in err
-        assert "generated seed" not in err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_fail_before_any_work(self, capsys, monkeypatch, samples):
@@ -791,7 +801,6 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--samples", samples)
         assert code == 2
         assert "at least one sample" in err
-        assert "generated seed" not in err
 
     def test_negative_seed_fails_before_any_work(self, capsys, monkeypatch):
         self._forbid_enumeration(monkeypatch)
@@ -805,7 +814,6 @@ class TestCensusCommand:
         assert code == 3
         assert time.perf_counter() - start < 2.0
         assert "capped at 100000 samples" in err
-        assert "generated seed" not in err
 
     def test_sample_cap_still_answers(self, capsys):
         code, out, _ = run(
@@ -836,17 +844,13 @@ class TestWitnessCommand:
         assert "pure even" in err
 
     def test_exact_sign_past_its_cap_exits_3(self, capsys, monkeypatch):
-        # the OR ideal's expansion takes 21 steps and its first exact
-        # sign 48 bits: a cap of 30 stops the witness search, not the
-        # expansion
-        from logdec.ideals import step_meter
-        from logdec.measure import _ideal_expansion
-
-        _ideal_expansion.cache_clear()
-        monkeypatch.setattr("logdec.measure.step_meter", functools.partial(step_meter, cap=30))
+        # the OR ideal's first exact sign needs 48 bits: a cap of 30 bits
+        # stops the witness search, and the expansion's step meter keeps
+        # its own cap
+        monkeypatch.setattr("logdec.measure.EXPANSION_WORK_CAP", 30)
         code, out, err = run(capsys, "witness", "--gate", "or:2x2")
         assert code == 3 and out == ""
-        assert err == "capacity error: the exact sign would exceed its cap of 30 steps\n"
+        assert err == "capacity error: the exact sign would exceed its cap of 30 bits\n"
 
     def test_table_shortcut(self, capsys):
         code, out, _ = run(

@@ -461,6 +461,14 @@ class TestExactSign:
             exact_sign(ideal, [10**6 + i for i in range(20)])
         assert time.perf_counter() - start < 1.0
 
+    def test_the_cap_is_reported_in_bits(self):
+        # the estimate counts bits of the compared products, not steps
+        sp = OutcomeSpace(20)
+        parts = [Partition(sp, tuple(i % k for i in range(20))) for k in (2, 3, 4)]
+        with pytest.raises(CapacityError) as raised:
+            exact_sign(coinformation_content(parts), [10**6 + i for i in range(20)])
+        assert str(raised.value) == "the exact sign would exceed its cap of 3000000 bits"
+
 
 def _table_sweep_expansion(ideal: Ideal) -> tuple[tuple[int, int], ...]:
     """c_I from the 2**n membership table: the upward closure of the
