@@ -57,15 +57,14 @@ class ParityClass(NamedTuple):
 
 
 class SignSurvey(NamedTuple):
-    """Signs of an ideal's measure over distributions sampled from the simplex."""
+    """Sign counts and extreme values of an ideal's measure over samples
+    from the simplex, which are not stored: sign_survey redraws them from the seed."""
 
     samples: int
     positive: int
     negative: int
     min_value: float
     max_value: float
-    min_weights: tuple[float, ...]
-    max_weights: tuple[float, ...]
     seed: int
 
     @property
@@ -201,23 +200,20 @@ def check_survey_arguments(samples: int, seed: int) -> tuple[int, int]:
 
 
 def sign_survey(ideal: Ideal, samples: int, seed: int) -> SignSurvey:
-    """Sample the simplex uniformly and record the sign of the ideal's measure."""
+    """Sample the simplex uniformly and record the sign of the ideal's measure.
+    The samples are numpy.random.default_rng(seed).dirichlet(np.ones(n),
+    size=samples), n the ideal's outcome count."""
     samples, seed = check_survey_arguments(samples, seed)
     np = _numpy()
-    rng = np.random.default_rng(seed)
-    weight_rows = rng.dirichlet(np.ones(ideal.space.n), size=samples)
-    values = mu_ideal_batch(weight_rows, ideal)
+    rows = np.random.default_rng(seed).dirichlet(np.ones(ideal.space.n), size=samples)
+    values = mu_ideal_batch(rows, ideal)
     positive = int(np.count_nonzero(values > EQ_TOL))
     negative = int(np.count_nonzero(values < -EQ_TOL))
-    lo = int(np.argmin(values))
-    hi = int(np.argmax(values))
     return SignSurvey(
         samples=samples,
         positive=positive,
         negative=negative,
-        min_value=float(values[lo]),
-        max_value=float(values[hi]),
-        min_weights=tuple(float(w) for w in weight_rows[lo]),
-        max_weights=tuple(float(w) for w in weight_rows[hi]),
+        min_value=float(values.min()),
+        max_value=float(values.max()),
         seed=seed,
     )

@@ -18,6 +18,7 @@ from logdec import (
     OutcomeSpace,
     all_partitions,
     build_gate,
+    canonical_classes,
     census,
     classify_parity,
     coinformation_content,
@@ -440,3 +441,55 @@ def test_criterion_9_triadic_witness_signs_are_exact():
         ok = ok and abs(mpmath.mpf(value) - exact) < 1e-12
         details.append(f"weights {k}: sign {sign:+d} ({bits} bits)")
     _report("exact signs of the triadic witnesses", ok, "; ".join(details))
+
+
+def test_criterion_5_xor_uniqueness_is_exact():
+    # The census proof with no survey.  Two cells that differ in row,
+    # column and output split X, Y and Z, so their pair is a degree-2
+    # generator of the co-information ideal, and weight K on its cells and
+    # 1 elsewhere makes the measure positive once K is large: no such class
+    # is always negative.  The constants and the 2x2 XOR are the only
+    # classes without such a pair.  Each sign is decided exactly and
+    # checked against the superset-Moebius oracle.
+    start = time.perf_counter()
+    no_pair, problems, largest_k, proved = [], [], 0, 0
+    for nx, ny in ((2, 2), (2, 3), (3, 3)):
+        for table, _ in canonical_classes(nx, ny):
+            n = nx * ny
+            pair = next(
+                (
+                    (a, b)
+                    for a, b in itertools.combinations(range(n), 2)
+                    if a // ny != b // ny and a % ny != b % ny and table[a] != table[b]
+                ),
+                None,
+            )
+            if pair is None:
+                no_pair.append(table)
+                continue
+            gate = build_gate(nx, ny, table)
+            ideal = coinformation_content([gate.x, gate.y, gate.z])
+            mask = 1 << pair[0] | 1 << pair[1]
+            if mask not in ideal.generators:
+                problems.append(f"{nx}x{ny} {table}: {pair} is no generator")
+                continue
+            for k in (2, 4, 8, 16, 32):
+                weights = [k if mask >> i & 1 else 1 for i in range(n)]
+                if exact_sign(ideal, weights) == 1:
+                    break
+            else:
+                problems.append(f"{nx}x{ny} {table}: not positive by K = 32")
+                continue
+            largest_k, proved = max(largest_k, k), proved + 1
+            masses = [sum(w for i, w in enumerate(weights) if u >> i & 1) for u in range(1 << n)]
+            if _exact_sign(_superset_moebius(ideal), masses)[0] != 1:
+                problems.append(f"{nx}x{ny} {table}: the oracle disagrees at K = {k}")
+    elapsed = time.perf_counter() - start
+    constants = [(0,) * 4, (0,) * 6, (0,) * 9]
+    ok = sorted(no_pair) == sorted(constants + [(0, 1, 1, 0)]) and not problems
+    _report(
+        "exact census: only the constants and the 2x2 XOR lack a positive pair",
+        ok,
+        f"{proved} proved, largest K {largest_k}, no pair {no_pair}, "
+        f"problems {problems[:3]}, {elapsed:.1f}s",
+    )

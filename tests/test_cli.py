@@ -708,7 +708,7 @@ class TestInternalErrors:
         # every survey reads one negative sample: the pure even classes contradict it
         monkeypatch.setattr(
             "logdec.gates.sign_survey",
-            lambda ideal, samples, seed: SignSurvey(samples, 0, 1, -1.0, 0.0, (), (), seed),
+            lambda ideal, samples, seed: SignSurvey(samples, 0, 1, -1.0, 0.0, seed),
         )
         code, out, err = run(capsys, "census", "--nx", "2", "--ny", "2", "--seed", "1")
         assert code == 5 and out == ""

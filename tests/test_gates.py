@@ -234,7 +234,7 @@ class TestClassifyGate:
 class TestVerdictRule:
     @staticmethod
     def survey(positive, negative, samples=100):
-        return SignSurvey(samples, positive, negative, -1.0, 1.0, (), (), 0)
+        return SignSurvey(samples, positive, negative, -1.0, 1.0, 0)
 
     @pytest.mark.parametrize(
         "spec, positive, negative, parities, tag",

@@ -1,3 +1,4 @@
+import itertools
 import time
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from logdec.parity import (
 )
 from logdec.commands import parse_system
 from logdec.ideals import step_meter
-from logdec.measure import EQ_TOL
+from logdec.measure import EQ_TOL, mu_ideal_batch
 
 from conftest import A, random_atom, random_distribution
 
@@ -282,6 +283,59 @@ class TestParityContract:
         assert set(tags.values()) == {CERTIFIED_EVEN, CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED}
 
 
+def _induced_pair_unions(the_ideal):
+    """Unions of two disjoint pair generators with no other generator
+    inside them."""
+    gens = the_ideal.generators
+    pairs = sorted(g for g in gens if bin(g).count("1") == 2)
+    for a, b in itertools.combinations(pairs, 2):
+        union = a | b
+        if not a & b and not any(g & union == g for g in gens - {a, b}):
+            yield union
+
+
+class TestInducedPairs:
+    # An induced pair's union holds the two pairs, the four triples above
+    # them and itself, so its leaf coefficient is 2 - 4 + 1 = -1: a
+    # degree-4 leaf of the wrong sign for an even ideal, which is then
+    # Undetermined without any expansion search.
+    def test_the_union_of_an_induced_pair_has_coefficient_minus_one(self):
+        census_ideals = []
+        pure_even = {}
+        for nx, ny in ((2, 2), (2, 3), (3, 3)):
+            pure_even[nx, ny] = 0
+            for table, _ in canonical_classes(nx, ny):
+                gate = build_gate(nx, ny, table)
+                the_ideal = coinformation_content([gate.x, gate.y, gate.z])
+                if the_ideal.is_empty or the_ideal.generator_parities() != {0}:
+                    continue
+                pure_even[nx, ny] += 1
+                assert next(_induced_pair_unions(the_ideal), None) is not None, table
+                if (nx, ny) == (3, 3):
+                    census_ideals.append((f"3x3 {table}", the_ideal))
+        assert pure_even == {(2, 2): 5, (2, 3): 14, (3, 3): 69}
+        for name, the_ideal in [*_contract_ideals(), *census_ideals]:
+            if the_ideal.generator_parities() == {0}:
+                leaves = _leaf_expansion(the_ideal)
+                for union in _induced_pair_unions(the_ideal):
+                    assert leaves.get(union) == -1, (name, union)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_variable_systems_are_pairs_with_an_induced_pair(self, seed):
+        # the ideals of the structure benchmark's kind: 16-20 outcomes,
+        # 2-4 blocks per variable, every generator a pair
+        rng = np.random.default_rng(seed)
+        space = OutcomeSpace(16 + seed)
+        parts = [
+            Partition(space, [int(b) for b in rng.integers(0, int(rng.integers(2, 5)), space.n)])
+            for _ in range(2)
+        ]
+        the_ideal = coinformation_content(parts)
+        assert {bin(g).count("1") for g in the_ideal.generators} == {2}
+        assert next(_induced_pair_unions(the_ideal), None) is not None
+        assert classify_parity(the_ideal).tag == UNDETERMINED
+
+
 class TestSingleGeneratorSign:
     def test_signs_follow_degree(self, rng):
         for _ in range(200):
@@ -449,6 +503,17 @@ class TestWitnessSchedule:
             assert abs(mpmath.mpf(w.mu) - exact) <= 1e-12
 
 
+def _survey_extremes(the_ideal, sv) -> tuple[Distribution, Distribution]:
+    """The survey's lowest and highest samples, redrawn from its seed as
+    sign_survey draws them and picked by the batch measure."""
+    rows = np.random.default_rng(sv.seed).dirichlet(np.ones(the_ideal.space.n), size=sv.samples)
+    values = mu_ideal_batch(rows, the_ideal)
+    return tuple(
+        Distribution(the_ideal.space, tuple(float(w) for w in rows[i]))
+        for i in (np.argmin(values), np.argmax(values))
+    )
+
+
 class TestSurveys:
     def test_all_triples_survey_is_all_negative(self):
         sv = sign_survey(XOR_IDEAL, 1000, seed=11)
@@ -462,9 +527,9 @@ class TestSurveys:
         sv = sign_survey(OR_IDEAL, 1000, seed=11)
         assert sv.positive > 0 and sv.negative > 0
         assert sv.min_value < 0 < sv.max_value
-        assert mu_ideal(
-            Distribution(OR_IDEAL.space, sv.min_weights), OR_IDEAL
-        ) == pytest.approx(sv.min_value, abs=1e-9)
+        lowest, highest = _survey_extremes(OR_IDEAL, sv)
+        assert mu_ideal(lowest, OR_IDEAL) == pytest.approx(sv.min_value, abs=1e-9)
+        assert mu_ideal(highest, OR_IDEAL) == pytest.approx(sv.max_value, abs=1e-9)
 
     def test_deterministic_under_seed(self):
         a = sign_survey(OR_IDEAL, 300, seed=5)
@@ -477,9 +542,8 @@ class TestSurveys:
         g = named_gate("or:2x2")
         parts = [g.x, g.y, g.z]
         sv = sign_survey(OR_IDEAL, 500, seed=3)
-        for value, weights in ((sv.min_value, sv.min_weights), (sv.max_value, sv.max_weights)):
-            expected = coinformation_numeric(Distribution(OR_IDEAL.space, weights), parts)
-            assert value == pytest.approx(expected, abs=1e-12)
+        for value, dist in zip((sv.min_value, sv.max_value), _survey_extremes(OR_IDEAL, sv)):
+            assert value == pytest.approx(coinformation_numeric(dist, parts), abs=1e-12)
 
     def test_twenty_outcome_survey_is_fast(self):
         rng = np.random.default_rng(17)
@@ -518,9 +582,9 @@ class TestSurveys:
         # zero is derived from the other counts, so no record can disagree
         sv = sign_survey(OR_IDEAL, 20, seed=1)
         assert SignSurvey(**sv._asdict()) == sv
-        assert "zero" not in sv._fields
+        assert sv._fields == ("samples", "positive", "negative", "min_value", "max_value", "seed")
         assert sv.positive + sv.negative + sv.zero == sv.samples
-        assert SignSurvey(3, 1, 1, 0.0, 0.0, (), (), 0).zero == 1
+        assert SignSurvey(3, 1, 1, 0.0, 0.0, 0).zero == 1
 
     def test_sample_cap_is_checked_before_drawing(self, monkeypatch):
         def draw():
