@@ -32,8 +32,7 @@ _EXPORTS = {
         "count_expressions", "ideal_to_variables",
     ),
     "parity": (
-        "ParityClass", "SignSurvey", "Witness", "classify_parity", "sign_survey",
-        "witness_distributions",
+        "ParityClass", "SignSurvey", "classify_parity", "sign_survey", "witness_distributions",
     ),
     "gates": (
         "GateClassification", "GateSystem", "build_gate", "canonical_classes",

@@ -262,6 +262,16 @@ def cmd_coinfo(args, argv) -> None:
     _emit(args, argv, results, lines)
 
 
+def _witness_measure(ideal: Ideal, weights: tuple[int, ...]) -> tuple[Distribution, float]:
+    """A witness's integer weights over their total, and the ideal's measure there."""
+    from .core import Distribution
+    from .measure import mu_ideal
+
+    total = sum(weights)
+    dist = Distribution(ideal.space, tuple(k / total for k in weights))
+    return dist, mu_ideal(dist, ideal)
+
+
 def cmd_census(args, argv) -> None:
     from .gates import ALWAYS_NEGATIVE, census
 
@@ -284,10 +294,11 @@ def cmd_census(args, argv) -> None:
             "verdict": c.verdict,
             "seed": c.survey.seed,
             **{
-                side: {"p": list(w.dist.weights), "mu": w.mu}
+                side: {"p": list(dist.weights), "mu": mu}
                 for side, w in (("witness_positive", c.witness_positive),
                                 ("witness_negative", c.witness_negative))
                 if w is not None
+                for dist, mu in [_witness_measure(c.ideal, w)]
             },
         }
         for c in classifications
@@ -335,11 +346,9 @@ def cmd_witness(args, argv) -> None:
     results = {"variables": names, "generators": _format_generators(ideal)}
     lines = []
     for side, w in zip(("positive", "negative"), witness_distributions(ideal)):
-        results[side] = {
-            "p": list(w.dist.weights),
-            "mu": w.mu,
-            "coinformation": coinformation_numeric(w.dist, parts),
-        }
-        ps = ", ".join(f"{x:.6g}" for x in w.dist.weights)
-        lines.append(f"{side} witness: p = [{ps}]   mu = {w.mu:+.6f} bits")
+        dist, mu = _witness_measure(ideal, w)
+        coinfo = coinformation_numeric(dist, parts)
+        results[side] = {"p": list(dist.weights), "mu": mu, "coinformation": coinfo}
+        ps = ", ".join(f"{x:.6g}" for x in dist.weights)
+        lines.append(f"{side} witness: p = [{ps}]   mu = {mu:+.6f} bits")
     _emit(args, argv, results, lines)

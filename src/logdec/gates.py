@@ -32,7 +32,6 @@ from .parity import (
     STRONGLY_MIXED,
     ParityClass,
     SignSurvey,
-    Witness,
     check_survey_arguments,
     classify_parity,
     sign_survey,
@@ -72,7 +71,8 @@ class GateSystem(NamedTuple):
 
 
 class GateClassification(NamedTuple):
-    """Structural and empirical verdict for one canonical gate class."""
+    """Structural and empirical verdict for one canonical gate class; a
+    MixedSign class holds the integer weights of both its witnesses."""
 
     table: tuple[int, ...]
     orbit_size: int
@@ -80,8 +80,8 @@ class GateClassification(NamedTuple):
     parity: ParityClass | None
     survey: SignSurvey
     verdict: str
-    witness_positive: Witness | None
-    witness_negative: Witness | None
+    witness_positive: tuple[int, ...] | None
+    witness_negative: tuple[int, ...] | None
 
 
 def _check_shape(nx: int, ny: int) -> None:

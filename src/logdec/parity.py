@@ -5,9 +5,9 @@ positive weights.  Larger ideals are certified by searching
 inclusion-exclusion expansions over generator orderings, with steps
 spent from an ideals.step_meter, until every signed leaf term has the
 same sign; ideals whose minimal generators mix even and odd degrees
-provably take both signs, and a witness distribution for either sign
-puts a growing integer weight on one generator's members until
-measure.exact_sign gives that sign.
+provably take both signs, and a witness for either sign is a tuple of
+integer weights, one per outcome, with a growing weight on one
+generator's members until measure.exact_sign gives that sign.
 Certification is sound but not complete: Undetermined is a first-class
 outcome and surveys still characterise such ideals empirically.  Every
 peel order yields the same leaf expansion, so Undetermined means that its
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .core import CapacityError, Distribution, as_int, degree
+from .core import CapacityError, as_int, degree
 from .ideals import Ideal, minimal_antichain, step_meter
-from .measure import EQ_TOL, _numpy, exact_sign, mu_ideal, mu_ideal_batch
+from .measure import EQ_TOL, _numpy, exact_sign, mu_ideal_batch
 
 CERTIFIED_EVEN = "CertifiedEven"
 CERTIFIED_ODD = "CertifiedOdd"
@@ -71,15 +71,6 @@ class SignSurvey(NamedTuple):
     def zero(self) -> int:
         """Samples whose measure is within EQ_TOL of 0."""
         return self.samples - self.positive - self.negative
-
-
-class Witness(NamedTuple):
-    """A distribution and the ideal's measure under it.  Its weights are
-    integers over their total, recovered as p / min(p), under which
-    measure.exact_sign gives the witness's side."""
-
-    dist: Distribution
-    mu: float
 
 
 def _expansions(gens: frozenset[int], spend) -> Iterator[dict[int, int]]:
@@ -155,8 +146,10 @@ def classify_parity(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> ParityClass:
     return ParityClass(UNDETERMINED)
 
 
-def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]:
-    """Witnesses driving the ideal's measure positive and negative.
+def witness_distributions(ideal: Ideal) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Integer weights, one per outcome, under which the ideal's measure
+    is exactly positive and exactly negative: the witness distributions
+    are these weights over their total.
 
     Each side takes its first generator of that parity, in degree order.
     A pure-parity ideal yields only its one achievable side.
@@ -170,18 +163,16 @@ def witness_distributions(ideal: Ideal) -> tuple[Witness | None, Witness | None]
     return positive, negative
 
 
-def _witness_for(ideal: Ideal, generator: int, sign: int) -> Witness:
+def _witness_for(ideal: Ideal, generator: int, sign: int) -> tuple[int, ...]:
     """Weight k = 2, 4, 8, ... on the generator's members and 1 elsewhere,
-    up to the first k of the exact `sign`.  As k grows the measure tends to
+    at the first k of the exact `sign`.  As k grows the measure tends to
     the generator's own atom measure, of sign (-1)**degree, so only the
     exact sign's CapacityError can end the search otherwise."""
     k = 2
     while True:
-        weights = [k if generator >> i & 1 else 1 for i in range(ideal.space.n)]
+        weights = tuple(k if generator >> i & 1 else 1 for i in range(ideal.space.n))
         if exact_sign(ideal, weights) == sign:
-            total = sum(weights)
-            dist = Distribution(ideal.space, tuple(w / total for w in weights))
-            return Witness(dist, mu_ideal(dist, ideal))
+            return weights
         k *= 2
 
 

@@ -23,6 +23,12 @@ def random_distribution(rng, space: OutcomeSpace, floor: float = 0.0) -> Distrib
     return Distribution(space, tuple(float(x) for x in w))
 
 
+def integer_distribution(space: OutcomeSpace, weights) -> Distribution:
+    """Integer weights, such as a witness's, over their total."""
+    total = sum(weights)
+    return Distribution(space, [k / total for k in weights])
+
+
 def random_atom(rng, space: OutcomeSpace, min_degree: int = 2, max_degree: int | None = None) -> int:
     max_degree = max_degree or space.n
     d = int(rng.integers(min_degree, max_degree + 1))

@@ -6,6 +6,7 @@ Tolerances and sample counts are pinned here and are not calibration knobs.
 
 import functools
 import itertools
+import random
 import time
 from pathlib import Path
 
@@ -35,12 +36,12 @@ from logdec import (
     named_gate,
     witness_distributions,
 )
-from logdec.commands import parse_system
-from logdec.core import common_refinement
+from logdec.commands import _witness_measure, parse_system
+from logdec.core import common_coarsening, common_refinement
 from logdec.gates import ALWAYS_NEGATIVE, ZERO_COINFORMATION
 from logdec.parity import CERTIFIED_ODD, STRONGLY_MIXED, UNDETERMINED
 
-from conftest import A, random_distribution, random_ideal, random_partition
+from conftest import A, integer_distribution, random_distribution, random_ideal, random_partition
 
 SEED = 987654321
 
@@ -257,11 +258,15 @@ def test_criterion_5_gate_census_uniqueness():
 
 
 def test_criterion_6_mixed_gate_witnesses():
-    # Every witness's integer weights, recovered as p / min(p), give the
-    # ideal's measure the witness's sign exactly, and so does the float
-    # measure it carries, which the entropy route matches.
+    # Every witness is integer weights under which exact_sign gives the
+    # ideal's measure the witness's sign; the float measure at those
+    # weights over their total has that sign, and the entropy route
+    # matches it.  Every positive witness is the pair construction of
+    # test_criterion_5_xor_uniqueness_is_exact: K = 2, 4, ..., 32 on the
+    # two cells of a degree-2 generator and 1 elsewhere.
     failures = 0
     mixed_total = 0
+    ks: dict[int, int] = {}
     for nx, ny in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         for c in _census(nx, ny):
             if c.verdict != "MixedSign":
@@ -273,15 +278,23 @@ def test_criterion_6_mixed_gate_witnesses():
                 continue
             gate = build_gate(nx, ny, c.table)
             for side, w in ((1, pos), (-1, neg)):
-                weights = [round(p / min(w.dist.weights)) for p in w.dist.weights]
-                if exact_sign(c.ideal, weights) != side or not side * w.mu > 0:
+                dist = integer_distribution(c.ideal.space, w)
+                mu = mu_ideal(dist, c.ideal)
+                if exact_sign(c.ideal, w) != side or not side * mu > 0:
                     failures += 1
-                if abs(coinformation_numeric(w.dist, [gate.x, gate.y, gate.z]) - w.mu) > 1e-9:
+                if abs(coinformation_numeric(dist, [gate.x, gate.y, gate.z]) - mu) > 1e-9:
                     failures += 1
+            k = max(pos)
+            pair = sum(1 << i for i, x in enumerate(pos) if x == k)
+            if set(pos) != {1, k} or k not in (2, 4, 8, 16, 32) or pair.bit_count() != 2:
+                failures += 1
+            elif pair not in c.ideal.generators:
+                failures += 1
+            ks[k] = ks.get(k, 0) + 1
     _report(
         "both-sign witnesses for every mixed census gate",
         failures == 0 and mixed_total > 0,
-        f"mixed classes={mixed_total}, failures={failures}",
+        f"mixed classes={mixed_total}, failures={failures}, positive K counts {sorted(ks.items())}",
     )
 
 
@@ -357,9 +370,11 @@ def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
     ok = ok and classify_parity(triadic).tag == STRONGLY_MIXED
     details.append(f"dyadic {dyadic.degree_profile().count(2)} pairs")
     for w, expected in zip(witness_distributions(triadic), (0.068996, -0.019174)):
-        ok = ok and abs(w.mu - expected) < 1e-6
-        ok = ok and abs(coinformation_numeric(w.dist, triadic_parts) - w.mu) < 1e-9
-        details.append(f"triadic witness mu={w.mu:+.6f}")
+        dist = integer_distribution(triadic.space, w)
+        mu = mu_ideal(dist, triadic)
+        ok = ok and abs(mu - expected) < 1e-6
+        ok = ok and abs(coinformation_numeric(dist, triadic_parts) - mu) < 1e-9
+        details.append(f"triadic witness mu={mu:+.6f}")
     _report("one I-measure, two co-information ideals", ok, "; ".join(details))
 
 
@@ -412,12 +427,12 @@ def _exact_sign(c: list[int], masses: list[int]) -> tuple[int, int]:
 
 
 def test_criterion_9_triadic_witness_signs_are_exact():
-    # The triadic witnesses of criterion 9 at their integer weights,
-    # recovered as p / min(p): 2 on the cells of a pair generator or of a
-    # triple and 1 elsewhere.  The sign is decided by comparing integers,
-    # with coefficients from a superset-Moebius pass over the membership
-    # table, independent of the measure's expansion; exact_sign, mu_ideal
-    # and a 60-digit evaluation of the same sum agree with it.
+    # The triadic witnesses of criterion 9 at their integer weights: 2 on
+    # the cells of a pair generator or of a triple and 1 elsewhere.  The
+    # sign is decided by comparing integers, with coefficients from a
+    # superset-Moebius pass over the membership table, independent of the
+    # measure's expansion; exact_sign, mu_ideal, the measure that `witness`
+    # reports and a 60-digit evaluation of the same sum agree with it.
     golden = Path(__file__).resolve().parent / "golden"
     system = parse_system((golden / "system-triadic.json").read_text())
     ideal = coinformation_content(list(system.variables.values()))
@@ -426,8 +441,7 @@ def test_criterion_9_triadic_witness_signs_are_exact():
     ok = True
     details = []
     witnesses = witness_distributions(ideal)
-    for w, expected_sign, expected_mu in zip(witnesses, (1, -1), (0.068996, -0.019174)):
-        k = [round(p / min(w.dist.weights)) for p in w.dist.weights]
+    for k, expected_sign, expected_mu in zip(witnesses, (1, -1), (0.068996, -0.019174)):
         masses = [sum(x for i, x in enumerate(k) if u >> i & 1) for u in range(1 << space.n)]
         sign, bits = _exact_sign(coeffs, masses)
         total = masses[-1]
@@ -437,10 +451,39 @@ def test_criterion_9_triadic_witness_signs_are_exact():
             scaled = mpmath.fsum(cu * m * mpmath.log(m, 2) for cu, m in zip(coeffs, masses) if m)
             exact = (scaled - t * mpmath.log(total, 2)) / total
         ok = ok and sign == expected_sign == exact_sign(ideal, k)
-        ok = ok and value == w.mu and abs(value - expected_mu) < 1e-6
+        ok = ok and value == _witness_measure(ideal, k)[1] and abs(value - expected_mu) < 1e-6
         ok = ok and abs(mpmath.mpf(value) - exact) < 1e-12
         details.append(f"weights {k}: sign {sign:+d} ({bits} bits)")
     _report("exact signs of the triadic witnesses", ok, "; ".join(details))
+
+
+def _pair_witness(nx, ny, table):
+    """The pair lemma on one gate: None when no two cells differ in row,
+    column and output.  Otherwise (ideal, weights, problem): the gate's
+    co-information ideal and, for the first such pair, weight K on its
+    cells and 1 elsewhere at the first K = 2, 4, ..., 32 of exact sign +1,
+    or a problem when the pair is no generator or no such K exists."""
+    n = nx * ny
+    pair = next(
+        (
+            (a, b)
+            for a, b in itertools.combinations(range(n), 2)
+            if a // ny != b // ny and a % ny != b % ny and table[a] != table[b]
+        ),
+        None,
+    )
+    if pair is None:
+        return None
+    gate = build_gate(nx, ny, table)
+    ideal = coinformation_content([gate.x, gate.y, gate.z])
+    mask = 1 << pair[0] | 1 << pair[1]
+    if mask not in ideal.generators:
+        return ideal, None, f"{pair} is no generator"
+    for k in (2, 4, 8, 16, 32):
+        weights = [k if mask >> i & 1 else 1 for i in range(n)]
+        if exact_sign(ideal, weights) == 1:
+            return ideal, weights, None
+    return ideal, None, "not positive by K = 32"
 
 
 def test_criterion_5_xor_uniqueness_is_exact():
@@ -455,33 +498,19 @@ def test_criterion_5_xor_uniqueness_is_exact():
     no_pair, problems, largest_k, proved = [], [], 0, 0
     for nx, ny in ((2, 2), (2, 3), (3, 3)):
         for table, _ in canonical_classes(nx, ny):
-            n = nx * ny
-            pair = next(
-                (
-                    (a, b)
-                    for a, b in itertools.combinations(range(n), 2)
-                    if a // ny != b // ny and a % ny != b % ny and table[a] != table[b]
-                ),
-                None,
-            )
-            if pair is None:
+            found = _pair_witness(nx, ny, table)
+            if found is None:
                 no_pair.append(table)
                 continue
-            gate = build_gate(nx, ny, table)
-            ideal = coinformation_content([gate.x, gate.y, gate.z])
-            mask = 1 << pair[0] | 1 << pair[1]
-            if mask not in ideal.generators:
-                problems.append(f"{nx}x{ny} {table}: {pair} is no generator")
+            ideal, weights, problem = found
+            if problem:
+                problems.append(f"{nx}x{ny} {table}: {problem}")
                 continue
-            for k in (2, 4, 8, 16, 32):
-                weights = [k if mask >> i & 1 else 1 for i in range(n)]
-                if exact_sign(ideal, weights) == 1:
-                    break
-            else:
-                problems.append(f"{nx}x{ny} {table}: not positive by K = 32")
-                continue
+            k = max(weights)
             largest_k, proved = max(largest_k, k), proved + 1
-            masses = [sum(w for i, w in enumerate(weights) if u >> i & 1) for u in range(1 << n)]
+            masses = [
+                sum(w for i, w in enumerate(weights) if u >> i & 1) for u in range(1 << nx * ny)
+            ]
             if _exact_sign(_superset_moebius(ideal), masses)[0] != 1:
                 problems.append(f"{nx}x{ny} {table}: the oracle disagrees at K = {k}")
     elapsed = time.perf_counter() - start
@@ -492,4 +521,160 @@ def test_criterion_5_xor_uniqueness_is_exact():
         ok,
         f"{proved} proved, largest K {largest_k}, no pair {no_pair}, "
         f"problems {problems[:3]}, {elapsed:.1f}s",
+    )
+
+
+def _coinformation_60_digits(ny, table, weights) -> mpmath.mpf:
+    """I(X;Y;Z) of a gate at integer cell weights over their total, as the
+    alternating sum of the seven joint entropies at 60 digits."""
+    labels = [(c // ny, c % ny, z) for c, z in enumerate(table)]
+    with mpmath.workdps(60):
+        total = mpmath.mpf(sum(weights))
+
+        def h(keys):
+            mass: dict = {}
+            for label, w in zip(labels, weights):
+                key = tuple(label[i] for i in keys)
+                mass[key] = mass.get(key, 0) + w
+            return -mpmath.fsum(m / total * mpmath.log(m / total, 2) for m in mass.values())
+
+        return mpmath.fsum(
+            (-1) ** (len(keys) + 1) * h(keys)
+            for r in (1, 2, 3)
+            for keys in itertools.combinations(range(3), r)
+        )
+
+
+def test_criterion_5_pair_witnesses_on_random_gates():
+    # The pair lemma of test_criterion_5_xor_uniqueness_is_exact beyond the
+    # census: on 300 nonconstant gates from random.Random(0) (2-6 rows, at
+    # most 24 cells, 2-6 output values), a pair of cells that differ in
+    # row, column and output exists, its mask generates the co-information
+    # ideal, weight K on it and 1 elsewhere is exactly positive by K = 32,
+    # and a 60-digit entropy sum agrees.
+    start = time.perf_counter()
+    rnd = random.Random(0)
+    gates, problems, largest_k, smallest = 0, [], 0, mpmath.inf
+    while gates < 300:
+        nx = rnd.randint(2, 6)
+        ny = rnd.randint(2, 24 // nx)
+        values = rnd.randint(2, 6)
+        table = [rnd.randrange(values) for _ in range(nx * ny)]
+        if len(set(table)) < 2:
+            continue
+        gates += 1
+        found = _pair_witness(nx, ny, table)
+        problem = "no pair" if found is None else found[2]
+        if problem:
+            problems.append(f"{nx}x{ny} {table}: {problem}")
+            continue
+        weights = found[1]
+        k = max(weights)
+        largest_k = max(largest_k, k)
+        value = _coinformation_60_digits(ny, table, weights)
+        smallest = min(smallest, value)
+        if not value > 0:
+            problems.append(f"{nx}x{ny} {table}: 60-digit co-information {value} at K = {k}")
+    elapsed = time.perf_counter() - start
+    _report(
+        "exact positive pair witnesses on random gates up to 24 cells",
+        not problems and elapsed < 30.0,
+        f"{gates} gates, largest K {largest_k}, smallest co-information "
+        f"{mpmath.nstr(smallest, 3)} bits, problems {problems[:3]}, {elapsed:.1f}s",
+    )
+
+
+def _atom_bitset(ideal) -> int:
+    """The ideal's atoms as one integer: bit m is set when atom m is a member."""
+    return sum(1 << a for a in ideal.enumerate())
+
+
+def _partition_lattice(parts) -> list:
+    """The partitions that `parts` generate under common refinement and
+    common coarsening."""
+    closed, fresh = set(parts), list(parts)
+    while fresh:
+        a = fresh.pop()
+        for b in list(closed):
+            for c in (common_refinement(a, b), common_coarsening(a, b)):
+                if c not in closed:
+                    closed.add(c)
+                    fresh.append(c)
+    return sorted(closed, key=lambda p: p.block_of)
+
+
+def _region_certificate(parts):
+    """At most two disjoint regions R(A, B | C) = content(A) & content(B)
+    minus content(C), with A, B and C from the lattice of `parts` and C
+    also trivial (None, no content), whose union is the co-information
+    ideal's atom set; None when there are none."""
+    target = _atom_bitset(coinformation_content(parts))
+    lattice = _partition_lattice(parts)
+    contents = {p: _atom_bitset(content(p)) for p in lattice}
+    contents[None] = 0
+    regions: dict = {}
+    for a, b in itertools.combinations_with_replacement(lattice, 2):
+        for c in [None, *lattice]:
+            region = contents[a] & contents[b] & ~contents[c]
+            if region and region & ~target == 0:
+                regions.setdefault(region, (a, b, c))
+    if target in regions:
+        return [regions[target]]
+    for region, abc in regions.items():
+        if target & ~region in regions:
+            return [abc, regions[target & ~region]]
+    return None
+
+
+def _conditional_mutual_information(dist, a, b, c) -> float:
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) from entropies of common
+    refinements; a trivial C (None) has H(C) = 0."""
+
+    def h(*parts):
+        parts = [p for p in parts if p is not None]
+        return entropy(dist, functools.reduce(common_refinement, parts)) if parts else 0.0
+
+    return h(a, c) + h(b, c) - h(a, b, c) - h(c)
+
+
+def test_criterion_5_pure_even_classes_have_region_certificates():
+    # Yeung's set-region argument (1991) carried over to atom sets: each
+    # region R(A, B | C) has measure I(A;B|C) >= 0, so an ideal that is a
+    # disjoint union of regions is nonnegative everywhere.  Every pure-even
+    # census class is one region or two, by atom-set identity; the
+    # regions' I(A;B|C), from entropies alone, sum to mu of the ideal at
+    # seeded Dirichlet weights.  The dyadic and 4-outcome even systems of
+    # criterion 9 get certificates, their mixed partners none.
+    start = time.perf_counter()
+    rng = np.random.default_rng(SEED + 4)
+    counts, worst = {}, 0.0
+    cases = []
+    for nx, ny in ((2, 2), (2, 3), (3, 3)):
+        for table, _ in canonical_classes(nx, ny):
+            gate = build_gate(nx, ny, table)
+            cases.append((f"{nx}x{ny}", [gate.x, gate.y, gate.z]))
+    golden = _golden_systems("dyadic", "4-even", "triadic", "4-mixed")
+    cases += [(name, list(s.variables.values())) for name, s in golden.items()]
+    for name, parts in cases:
+        ideal = coinformation_content(parts)
+        if name not in golden and ideal.generator_parities() != {0}:
+            continue
+        certificate = _region_certificate(parts)
+        size = len(certificate) if certificate else 0
+        counts[name, size] = counts.get((name, size), 0) + 1
+        for _ in range(3 if certificate else 0):
+            w = rng.dirichlet(np.ones(ideal.space.n))
+            dist = Distribution(ideal.space, tuple(float(x) for x in w))
+            total = sum(_conditional_mutual_information(dist, *r) for r in certificate)
+            worst = max(worst, abs(total - mu_ideal(dist, ideal)))
+    elapsed = time.perf_counter() - start
+    expected = {
+        ("2x2", 1): 5, ("2x3", 1): 14, ("3x3", 1): 57, ("3x3", 2): 12,
+        ("dyadic", 2): 1, ("4-even", 1): 1, ("triadic", 0): 1, ("4-mixed", 0): 1,
+    }
+    ok = counts == expected and worst <= 1e-12
+    _report(
+        "region certificates for every pure-even census class and the even golden systems",
+        ok,
+        f"{sorted(counts.items())}, worst entropy-route gap {worst:.1e}, {elapsed:.1f}s",
     )

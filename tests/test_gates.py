@@ -18,6 +18,7 @@ from logdec import (
     classify_parity,
     coinformation_content,
     coinformation_numeric,
+    exact_sign,
     mu_ideal,
     named_gate,
 )
@@ -192,10 +193,9 @@ class TestClassifyGate:
         assert gc.verdict == MIXED_SIGN
         assert gc.parity.tag == STRONGLY_MIXED
         assert gc.ideal == Ideal(gc.ideal.space, [A("14"), A("123")])
-        assert mu_ideal(gc.witness_positive.dist, gc.ideal) > 1e-8
-        assert mu_ideal(gc.witness_negative.dist, gc.ideal) < -1e-8
-        assert gc.witness_positive.mu == mu_ideal(gc.witness_positive.dist, gc.ideal)
-        assert gc.witness_negative.mu == mu_ideal(gc.witness_negative.dist, gc.ideal)
+        assert (gc.witness_positive, gc.witness_negative) == ((4, 1, 1, 4), (2, 2, 2, 1))
+        assert exact_sign(gc.ideal, gc.witness_positive) == 1
+        assert exact_sign(gc.ideal, gc.witness_negative) == -1
 
     def test_copy_gate_is_nonnegative_mutual_information(self):
         gc = classify_gate(named_gate("copyx:2x2"), samples=500, seed=1)
@@ -228,7 +228,7 @@ class TestClassifyGate:
         assert gc.verdict == ALWAYS_NONNEGATIVE_OR_ZERO and gc.survey.samples == 200
         table = [(7 * i + i // 5) % 3 for i in range(24)]
         gc = classify_gate(build_gate(2, 12, table), samples=200, seed=1)
-        assert gc.verdict == MIXED_SIGN and gc.witness_negative.mu < 0
+        assert gc.verdict == MIXED_SIGN and exact_sign(gc.ideal, gc.witness_negative) == -1
 
 
 class TestVerdictRule:

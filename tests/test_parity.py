@@ -40,7 +40,7 @@ from logdec.commands import parse_system
 from logdec.ideals import step_meter
 from logdec.measure import EQ_TOL, mu_ideal_batch
 
-from conftest import A, random_atom, random_distribution
+from conftest import A, integer_distribution, random_atom, random_distribution
 
 
 def ideal(n, *atoms):
@@ -397,29 +397,34 @@ class TestSingleGeneratorSign:
             assert np.sign(mu_ideal(dist, Ideal(sp, [g]))) == sign
 
 
+def _witness_mu(the_ideal, weights) -> float:
+    """mu of the ideal under a witness's integer weights over their total."""
+    return mu_ideal(integer_distribution(the_ideal.space, weights), the_ideal)
+
+
 class TestWitnesses:
     def test_mixed_ideal_yields_both_signs(self):
         pos, neg = witness_distributions(OR_IDEAL)
-        assert mu_ideal(pos.dist, OR_IDEAL) > 1e-8
-        assert mu_ideal(neg.dist, OR_IDEAL) < -1e-8
-        assert pos.dist.normalized and neg.dist.normalized
+        assert _witness_mu(OR_IDEAL, pos) > 1e-8
+        assert _witness_mu(OR_IDEAL, neg) < -1e-8
+        assert all(type(k) is int and k >= 1 for k in pos + neg)
 
     def test_pure_even_only_has_a_positive_side(self):
         pos, neg = witness_distributions(ideal(3, "12"))
         assert neg is None
-        assert mu_ideal(pos.dist, ideal(3, "12")) > 1e-8
+        assert _witness_mu(ideal(3, "12"), pos) > 1e-8
 
     def test_pure_odd_only_has_a_negative_side(self):
         pos, neg = witness_distributions(XOR_IDEAL)
         assert pos is None
-        assert mu_ideal(neg.dist, XOR_IDEAL) < -1e-8
+        assert _witness_mu(XOR_IDEAL, neg) < -1e-8
 
     def test_or_gate_witnesses_match_the_biased_regimes(self):
         # mass on the diagonal pushes the co-information positive (from
         # weight 4 on it), mass on the low triple pushes it negative
         pos, neg = witness_distributions(OR_IDEAL)
-        assert pos.dist.weights == (0.4, 0.1, 0.1, 0.4)
-        assert neg.dist.weights == (2 / 7, 2 / 7, 2 / 7, 1 / 7)
+        assert pos == (4, 1, 1, 4)
+        assert neg == (2, 2, 2, 1)
 
     def test_random_mixed_ideals_always_get_both_sides(self, rng):
         from conftest import random_atom
@@ -434,19 +439,28 @@ class TestWitnesses:
                 continue
             produced += 1
             pos, neg = witness_distributions(the_ideal)
-            assert mu_ideal(pos.dist, the_ideal) > 1e-8
-            assert mu_ideal(neg.dist, the_ideal) < -1e-8
+            assert _witness_mu(the_ideal, pos) > 1e-8
+            assert _witness_mu(the_ideal, neg) < -1e-8
 
-    def test_carried_measure_is_the_measure_bit_for_bit(self, rng):
+    def test_witness_weights_are_integers_of_their_exact_sign(self, rng):
+        # each side is k = 2, 4, 8, ... on its parity's first generator and
+        # 1 elsewhere, at the first k whose exact sign is the side's
         from conftest import random_ideal
 
         checked = 0
         for _ in range(60):
             the_ideal = random_ideal(rng, OutcomeSpace(int(rng.integers(2, 9))), 4)
-            for w in witness_distributions(the_ideal):
-                if w is not None:
-                    assert w.mu == mu_ideal(w.dist, the_ideal)
-                    checked += 1
+            for side, w in zip((1, -1), witness_distributions(the_ideal)):
+                if w is None:
+                    continue
+                g = next(g for g in the_ideal.sorted_generators() if g.bit_count() % 2 == (side < 0))
+                k = max(w)
+                assert len(w) == the_ideal.space.n and all(type(x) is int for x in w)
+                assert w == tuple(k if g >> i & 1 else 1 for i in range(len(w)))
+                assert exact_sign(the_ideal, w) == side
+                smaller = [k // 2 if g >> i & 1 else 1 for i in range(len(w))]
+                assert k == 2 or exact_sign(the_ideal, smaller) != side
+                checked += 1
         assert checked >= 60
 
     def test_a_gate_class_builds_its_expansion_once(self):
@@ -496,11 +510,11 @@ class TestWitnessSchedule:
     def test_witness_measures_have_their_sign_and_match_60_digits(self, the_ideal):
         pos, neg = witness_distributions(the_ideal)
         for side, w in ((1, pos), (-1, neg)):
-            exact = _ideal_mu_60_digits(w.dist.weights, the_ideal)
-            weights = [round(p / min(w.dist.weights)) for p in w.dist.weights]
-            assert exact_sign(the_ideal, weights) == side
-            assert side * w.mu > 0 and mpmath.sign(exact) == side
-            assert abs(mpmath.mpf(w.mu) - exact) <= 1e-12
+            exact = _ideal_mu_60_digits([k / sum(w) for k in w], the_ideal)
+            mu = _witness_mu(the_ideal, w)
+            assert exact_sign(the_ideal, w) == side
+            assert side * mu > 0 and mpmath.sign(exact) == side
+            assert abs(mpmath.mpf(mu) - exact) <= 1e-12
 
 
 def _survey_extremes(the_ideal, sv) -> tuple[Distribution, Distribution]:
