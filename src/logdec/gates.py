@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     MAX_OUTCOMES,
@@ -236,28 +236,26 @@ def census(
     ny: int,
     samples: int = 1000,
     seed: int = 0,
-) -> list[GateClassification]:
+) -> Iterator[GateClassification]:
     """Classify every gate of the given shape up to canonical equivalence.
 
-    Each class gets its own deterministic seed derived from the census
-    seed and its position in the canonical order.  The sides, then the
-    sample count and seed, are checked before any work.
+    Classes come lazily: each is classified, at a seed derived from the
+    census seed and its canonical position, when the iterator reaches it.
+    The sides, then the sample count and seed, are checked at call time,
+    and the classes listed.
     """
     _check_census_sides(nx, ny)
     check_survey_arguments(samples, seed)
     np = _numpy()
-    results = []
-    for idx, (table, orbit) in enumerate(canonical_classes(nx, ny)):
-        class_seed = int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0])
-        results.append(
-            classify_gate(
-                build_gate(nx, ny, table),
-                samples=samples,
-                seed=class_seed,
-                orbit_size=orbit,
-            )
+    return (
+        classify_gate(
+            build_gate(nx, ny, table),
+            samples=samples,
+            seed=int(np.random.SeedSequence(seed, spawn_key=(idx,)).generate_state(1)[0]),
+            orbit_size=orbit,
         )
-    return results
+        for idx, (table, orbit) in enumerate(canonical_classes(nx, ny))
+    )
 
 
 def expected_class_total(nx: int, ny: int) -> int:

@@ -151,8 +151,9 @@ def witness_distributions(ideal: Ideal) -> tuple[tuple[int, ...] | None, tuple[i
     is exactly positive and exactly negative: the witness distributions
     are these weights over their total.
 
-    Each side takes its first generator of that parity, in degree order.
-    A pure-parity ideal yields only its one achievable side.
+    Each side takes its first generator of that parity, in degree order,
+    or is None when there is none, though the measure may still take that
+    sign: a pure-even ideal on five outcomes can be negative.
     """
     if ideal.is_empty:
         raise ValueError("the empty ideal has measure 0 everywhere")

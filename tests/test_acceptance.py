@@ -6,6 +6,7 @@ Tolerances and sample counts are pinned here and are not calibration knobs.
 
 import functools
 import itertools
+import math
 import random
 import time
 from pathlib import Path
@@ -50,7 +51,7 @@ _census_cache: dict = {}
 
 def _census(nx, ny):
     if (nx, ny) not in _census_cache:
-        _census_cache[(nx, ny)] = census(nx, ny, samples=1000, seed=SEED)
+        _census_cache[(nx, ny)] = list(census(nx, ny, samples=1000, seed=SEED))
     return _census_cache[(nx, ny)]
 
 
@@ -338,17 +339,25 @@ def _golden_systems(*names):
     return {name: parse_system((golden / f"system-{name}.json").read_text()) for name in names}
 
 
+def _joins(parts) -> list:
+    """The common refinements of every nonempty family of `parts`, by
+    family size: X, Y, Z, XY, XZ, YZ, XYZ for three variables."""
+    return [
+        functools.reduce(common_refinement, family)
+        for r in range(1, len(parts) + 1)
+        for family in itertools.combinations(parts, r)
+    ]
+
+
+def _joint_entropies(system) -> list[float]:
+    return [entropy(system.dist, join) for join in _joins(list(system.variables.values()))]
+
+
 def _same_imeasure(system, joint_bits) -> bool:
     """The seven joint entropies of X, Y, Z are joint_bits and the
     co-information is 0, so the whole I-measure is fixed."""
-    parts = list(system.variables.values())
-    joints = [
-        entropy(system.dist, functools.reduce(common_refinement, family))
-        for r in (1, 2, 3)
-        for family in itertools.combinations(parts, r)
-    ]
-    coinfo = coinformation_numeric(system.dist, parts)
-    return np.allclose(joints, joint_bits, rtol=0, atol=1e-12) and abs(coinfo) < 1e-12
+    coinfo = coinformation_numeric(system.dist, list(system.variables.values()))
+    return np.allclose(_joint_entropies(system), joint_bits, rtol=0, atol=1e-12) and abs(coinfo) < 1e-12
 
 
 def test_criterion_9_systems_the_imeasure_cannot_tell_apart():
@@ -389,6 +398,77 @@ def test_criterion_9_on_four_outcomes():
     ok = ok and set(ideals["4-even"].generators) == {A("14"), A("23")}
     ok = ok and classify_parity(ideals["4-even"]).tag == UNDETERMINED
     _report("one I-measure, two co-information ideals on 4 outcomes", ok, f"{ideals}")
+
+
+def _split_classes(n: int) -> tuple[int, dict]:
+    """Every triple (X, Y, Z) of partitions of n equally likely outcomes,
+    X up to relabelling (one per block-size multiset), keyed on its seven
+    joint entropies made exact: the product of b**b over a join's block
+    sizes b.  Returns the triple count and, per key, the set of generator
+    parities of its co-information ideals."""
+    parts = list(all_partitions(OutcomeSpace(n)))
+    xs = {tuple(sorted(len(b) for b in p.blocks())): p for p in parts}
+    keys: dict = {}
+    for x, y, z in itertools.product(xs.values(), parts, parts):
+        key = tuple(math.prod(len(b) ** len(b) for b in j.blocks()) for j in _joins([x, y, z]))
+        parities = frozenset(coinformation_content([x, y, z]).generator_parities())
+        keys.setdefault(key, set()).add(parities)
+    return len(xs) * len(parts) ** 2, keys
+
+
+def test_criterion_9_split_entropy_classes_up_to_five_outcomes():
+    # Equal keys mean the whole I-measure agrees.  A key is split when its
+    # systems' co-information ideals differ in generator parity: 4 of 263
+    # keys at n = 4 and 77 of 1488 at n = 5, each holding exactly one
+    # pure-even and one mixed parity set.
+    start = time.perf_counter()
+    counts = {}
+    ok = True
+    for n in (4, 5):
+        systems, keys = _split_classes(n)
+        split = [parities for parities in keys.values() if len(parities) > 1]
+        counts[n] = (systems, len(keys), len(split))
+        ok = ok and all(parities == {frozenset({0}), frozenset({0, 1})} for parities in split)
+    elapsed = time.perf_counter() - start
+    ok = ok and counts == {4: (1125, 263, 4), 5: (18928, 1488, 77)}
+    _report("I-measure classes split by parity on 4 and 5 outcomes", ok, f"{counts}, {elapsed:.1f}s")
+
+
+def test_criterion_9_parity_does_not_fix_the_sign_on_five_outcomes():
+    # Two systems on 5 equally likely outcomes with the same seven joint
+    # entropies, so the same I-measure and the same negative
+    # co-information.  The mixed one is XOR on a-d with e alone.  The even
+    # one's ideal has only pair generators, yet its measure is negative at
+    # the uniform weights and positive at its witness: parity alone is no
+    # sign certificate.
+    systems = _golden_systems("5-even", "5-mixed")
+    ok = np.allclose(*map(_joint_entropies, systems.values()), rtol=0, atol=1e-12)
+    ideals = {name: coinformation_content(list(s.variables.values())) for name, s in systems.items()}
+    even, mixed = ideals["5-even"], ideals["5-mixed"]
+    ok = ok and set(even.generators) == {A("23"), A("14"), A("15"), A("45")}
+    ok = ok and even.generator_parities() == {0} and classify_parity(even).tag == UNDETERMINED
+    ok = ok and set(mixed.generators) == {
+        A(g) for g in ("15", "25", "35", "45", "123", "124", "134", "234")
+    }
+    ok = ok and classify_parity(mixed).tag == STRONGLY_MIXED
+    details = []
+    for name, system in systems.items():
+        parts = list(system.variables.values())
+        sizes = [[len(b) for b in join.blocks()] for join in _joins(parts)]
+        with mpmath.workdps(60):
+            # I(X;Y;Z) from the entropies of X, Y, Z, XY, XZ, YZ, XYZ, each
+            # log2 5 - sum of b log2 b / 5 over its block sizes b
+            exact = mpmath.fsum(
+                sign * (mpmath.log(5, 2) - mpmath.fsum(b * mpmath.log(b, 2) for b in join) / 5)
+                for sign, join in zip((1, 1, 1, -1, -1, -1, 1), sizes)
+            )
+        coinfo = coinformation_numeric(system.dist, parts)
+        ok = ok and abs(coinfo - exact) < 1e-12 and abs(coinfo + 0.0780719051126) < 1e-12
+        details.append(f"{name}: {ideals[name]} co-information {coinfo:+.12f}")
+    positive, negative = witness_distributions(even)
+    ok = ok and exact_sign(even, (1,) * 5) == -1
+    ok = ok and positive == (1, 4, 4, 1, 1) and negative is None and exact_sign(even, positive) == 1
+    _report("a pure-even ideal of both signs on 5 outcomes", ok, "; ".join(details))
 
 
 def _superset_moebius(ideal) -> list[int]:

@@ -693,6 +693,20 @@ class TestCoinfo:
         assert code == 4 and out == ""
         assert "pure even generators" in err
 
+    def test_pure_even_refusal_claims_no_sign_is_unreachable(self, capsys, monkeypatch):
+        # the 5-outcome even system's ideal has only pair generators, yet
+        # its measure is negative at the file's uniform p
+        monkeypatch.chdir(GOLDEN)
+        code, out, err = run(capsys, "witness", "--file", "system-5-even.json")
+        assert code == 4 and out == ""
+        assert err == (
+            "precondition failed: co-information ideal is not strongly mixed (pure even "
+            "generators); the witness construction needs generators of both parities\n"
+        )
+        code, out, _ = run(capsys, "coinfo", "--file", "system-5-even.json", "--structure")
+        assert code == 0
+        assert "parity: Undetermined\nmu(ideal) = -0.078072 bits\n" in out
+
 
 class TestInternalErrors:
     def test_violated_degree_bound_exits_5(self, capsys, monkeypatch):
@@ -768,7 +782,7 @@ class TestCensusCommand:
         code, out, _ = run(capsys, "census", "--nx", "2", "--ny", "3", "--json")
         assert code == 0
         rows = json.loads(out)["results"]["classes"]
-        library = logdec.census(2, 3)
+        library = list(logdec.census(2, 3))
         assert len(rows) == len(library)
         for row, c in zip(rows, library):
             assert (row["table"], row["verdict"], row["parity"]) == (
@@ -776,6 +790,19 @@ class TestCensusCommand:
             )
             counts = [row["survey"][k] for k in ("samples", "positive", "negative", "zero")]
             assert counts == [c.survey.samples, c.survey.positive, c.survey.negative, c.survey.zero]
+
+    def test_each_class_is_reported_before_the_next_is_classified(self, capsys):
+        # so the witnesses' mu reads the expansion that the class's survey
+        # cached: the report builds no expansion that the census does not
+        from logdec import measure
+
+        measure._ideal_expansion.cache_clear()
+        list(logdec.census(2, 3))
+        alone = measure._ideal_expansion.cache_info().misses
+        measure._ideal_expansion.cache_clear()
+        code, _, _ = run(capsys, "census", "--nx", "2", "--ny", "3", "--json")
+        assert code == 0
+        assert measure._ideal_expansion.cache_info().misses == alone == 25
 
     def test_capacity(self, capsys):
         code, _, err = run(capsys, "census", "--nx", "4", "--ny", "2")
