@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # Home module of every public name.
 _EXPORTS = {
     "core": (
-        "CapacityError", "Distribution", "OutcomeSpace", "Partition", "all_partitions",
-        "atom_bits", "common_coarsening", "common_refinement", "degree",
-        "enumerate_complex",
+        "CapacityError", "Distribution", "OutcomeSpace", "Partition", "atom_bits",
+        "common_coarsening", "common_refinement", "degree", "enumerate_complex",
     ),
     "ideals": ("Ideal", "minimal_antichain"),
     "measure": (
@@ -35,8 +34,8 @@ _EXPORTS = {
         "ParityClass", "SignSurvey", "classify_parity", "sign_survey", "witness_distributions",
     ),
     "gates": (
-        "GateClassification", "GateSystem", "build_gate", "canonical_classes",
-        "canonicalize", "census", "classify_gate", "named_gate",
+        "GateClassification", "GateSystem", "build_gate", "canonical_classes", "census",
+        "classify_gate", "named_gate",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -281,12 +281,6 @@ def restricted_growth_strings(m: int):
             yield prefix + (v,)
 
 
-def all_partitions(space: OutcomeSpace):
-    """Every partition of the space, one per set partition of its outcomes."""
-    for rgs in restricted_growth_strings(space.n):
-        yield Partition(space, rgs)
-
-
 def enumerate_complex(space: OutcomeSpace) -> tuple[int, ...]:
     """All atoms of degree >= 2 over the space, ascending: 2**n - n - 1 of them."""
     return tuple(m for m in range(3, space.full_mask + 1) if m.bit_count() >= 2)

@@ -12,7 +12,6 @@ structurally (parity of its triple-intersection ideal) and empirically
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -40,9 +39,6 @@ from .parity import (
 
 CENSUS_MAX_SIDE = 3
 _SIDE_RULE = "a gate side is an integer"
-# canonicalize lists all nx! * ny! input permutations: on a 2-core VM 2x8
-# (80 640) took 0.4-0.7 s and 34 MB, 3x8 (241 920) 1.7-2.9 s and 135 MB.
-CANONICAL_MAX_MAPS = 100_000
 
 ALWAYS_NEGATIVE = "AlwaysNegative"
 ALWAYS_NONNEGATIVE_OR_ZERO = "AlwaysNonnegativeOrZero"
@@ -62,8 +58,6 @@ _TRUTH_TABLES = {
 class GateSystem(NamedTuple):
     """Joint space of (X, Y, Z = f(X, Y)) with the three marginal partitions."""
 
-    nx: int
-    ny: int
     space: OutcomeSpace
     x: Partition
     y: Partition
@@ -105,7 +99,7 @@ def build_gate(nx: int, ny: int, table) -> GateSystem:
     x = Partition(space, [w // ny for w in range(nx * ny)])
     y = Partition(space, [w % ny for w in range(nx * ny)])
     z = Partition(space, blocks)
-    return GateSystem(nx=nx, ny=ny, space=space, x=x, y=y, z=z)
+    return GateSystem(space=space, x=x, y=y, z=z)
 
 
 def named_gate(spec: str) -> GateSystem:
@@ -153,14 +147,6 @@ def _input_permutations(nx: int, ny: int) -> list[tuple[int, ...]]:
 def _orbit(table, perms) -> set[tuple[int, ...]]:
     """The relabelled tables of one gate over all input permutations."""
     return {first_occurrence_relabel(table[p] for p in perm) for perm in perms}
-
-
-def canonicalize(gate: GateSystem) -> tuple[int, ...]:
-    """Lexicographically minimal table over row/column permutations and
-    output relabelling; equal exactly for isomorphic gates."""
-    if math.factorial(gate.nx) * math.factorial(gate.ny) > CANONICAL_MAX_MAPS:
-        raise CapacityError(f"canonical forms are capped at {CANONICAL_MAX_MAPS} input maps")
-    return min(_orbit(gate.z.block_of, _input_permutations(gate.nx, gate.ny)))
 
 
 def classify_gate(
@@ -256,12 +242,3 @@ def census(
         )
         for idx, (table, orbit) in enumerate(canonical_classes(nx, ny))
     )
-
-
-def expected_class_total(nx: int, ny: int) -> int:
-    """Number of output structures before input symmetries (a Bell number)."""
-    m = nx * ny
-    bell = [1] + [0] * m
-    for i in range(1, m + 1):
-        bell[i] = sum(math.comb(i - 1, k) * bell[k] for k in range(i))
-    return bell[m]

@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 
 from logdec import Distribution, Ideal, OutcomeSpace, Partition
+from logdec.core import restricted_growth_strings
 
 
 def A(labels: str) -> int:
     """Atom mask from digit labels, e.g. A("124") -> bits 0, 1, 3."""
     return sum(1 << (int(ch) - 1) for ch in labels)
+
+
+def all_partitions(space: OutcomeSpace):
+    """Every partition of the space, one per restricted-growth string of its outcomes."""
+    return (Partition(space, rgs) for rgs in restricted_growth_strings(space.n))
+
+
+def bell_number(m: int) -> int:
+    """Bell(m), the number of set partitions of m items, read off the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
 
 
 def random_partition(rng, space: OutcomeSpace) -> Partition:

@@ -11,7 +11,6 @@ from logdec import (
     Ideal,
     OutcomeSpace,
     Partition,
-    all_partitions,
     atom_bits,
     coinformation_content,
     common_coarsening,
@@ -29,7 +28,7 @@ from logdec import (
 
 from logdec.ideals import EXPANSION_WORK_CAP, step_meter
 
-from conftest import A, random_distribution, random_ideal, random_partition
+from conftest import A, all_partitions, random_distribution, random_ideal, random_partition
 
 
 def triangle_system():

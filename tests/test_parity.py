@@ -21,6 +21,7 @@ from logdec import (
     classify_parity,
     coinformation_content,
     coinformation_numeric,
+    enumerate_complex,
     exact_sign,
     minimal_antichain,
     mu_ideal,
@@ -171,6 +172,67 @@ def _leaf_expansion(the_ideal):
     return {int(m): int(c) for m, c in enumerate(coeff) if c}
 
 
+def _uniformly_signed(leaves, target) -> bool:
+    """True when every leaf term has the target sign: +1 even, -1 odd."""
+    return all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
+
+
+def _antichains(atoms):
+    """Every nonempty antichain of the masks under inclusion, each once."""
+    chosen = []
+
+    def extend(start):
+        for i in range(start, len(atoms)):
+            a = atoms[i]
+            if all(a & c not in (a, c) for c in chosen):
+                chosen.append(a)
+                yield tuple(chosen)
+                yield from extend(i + 1)
+                chosen.pop()
+
+    return extend(0)
+
+
+class TestEveryIdeal:
+    # The counting argument on up to five outcomes: every nonempty ideal,
+    # one per nonempty antichain of atoms of degree >= 2, by generator
+    # parity, and for each pure-parity side how many ideals have a leaf
+    # expansion that is not uniformly signed, so no leaf certificate.
+    def test_every_ideal_on_up_to_five_outcomes(self):
+        counts, tags = {}, {}
+        for n in (3, 4, 5):
+            space = OutcomeSpace(n)
+            row = dict.fromkeys(("ideals", "even", "odd", "mixed", "even open", "odd open"), 0)
+            for generators in _antichains(enumerate_complex(space)):
+                the_ideal = Ideal(space, generators)
+                pc = classify_parity(the_ideal)
+                tags[n, pc.tag] = tags.get((n, pc.tag), 0) + 1
+                row["ideals"] += 1
+                parities = the_ideal.generator_parities()
+                if len(parities) == 2:
+                    row["mixed"] += 1
+                    assert pc == (STRONGLY_MIXED, None), generators
+                    continue
+                side, target = ("even", 1) if parities == {0} else ("odd", -1)
+                row[side] += 1
+                leaves = _leaf_expansion(the_ideal)
+                if _uniformly_signed(leaves, target):
+                    assert pc.tag == (CERTIFIED_EVEN if target == 1 else CERTIFIED_ODD), generators
+                    assert dict(pc.certificate) == leaves, generators
+                else:
+                    row[side + " open"] += 1
+                    assert pc == (UNDETERMINED, None), generators
+            counts[n] = tuple(row.values())
+        assert counts == {
+            3: (8, 7, 1, 0, 0, 0),
+            4: (113, 64, 15, 34, 3, 0),
+            5: (6893, 1139, 1024, 4730, 202, 45),
+        }
+        assert {tag: k for (n, tag), k in tags.items() if n == 5} == {
+            CERTIFIED_EVEN: 937, CERTIFIED_ODD: 979, STRONGLY_MIXED: 4730, UNDETERMINED: 247,
+        }
+
+
 class TestCertificates:
     def test_certificate_is_the_moebius_inverse_of_membership(self, rng):
         # The leaf measures mu(<a>) are linearly independent, so an ideal has
@@ -188,7 +250,7 @@ class TestCertificates:
                 continue
             leaves = _leaf_expansion(the_ideal)
             target = 1 if parities == {0} else -1
-            uniform = all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
+            uniform = _uniformly_signed(leaves, target)
             pc = classify_parity(the_ideal)
             seen[pc.tag] += 1
             if pc.tag == UNDETERMINED:
@@ -272,8 +334,7 @@ class TestParityContract:
                 continue
             target = 1 if parities == {0} else -1
             leaves = _leaf_expansion(the_ideal)
-            uniform = all(c * (-1) ** bin(m).count("1") * target > 0 for m, c in leaves.items())
-            if uniform:
+            if _uniformly_signed(leaves, target):
                 assert pc.tag == (CERTIFIED_EVEN if target == 1 else CERTIFIED_ODD), name
                 assert dict(pc.certificate) == leaves, name
             else:
